@@ -22,14 +22,14 @@ func TestMetaTopAndStatement(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.EnableInsights(idl.InsightsConfig{SlowThreshold: time.Nanosecond})
-	// Two untraced runs tally plan-cache outcomes (traced queries bypass
-	// the plan cache for per-conjunct probes)...
+	// Two untraced runs tally plan-cache outcomes (a miss, then a hit)...
 	for i := 0; i < 2; i++ {
 		if _, err := db.Query("?.euter.r(.stkCode=S, .clsPrice>100)"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// ...then a traced run captures an exemplar with its span tree.
+	// ...then a traced run — served from the same plan cache — captures
+	// an exemplar with its span tree.
 	db.EnableTracing(8)
 	if _, err := db.Query("?.euter.r(.stkCode=S, .clsPrice>100)"); err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestMetaTopAndStatement(t *testing.T) {
 	out = captureStdout(t, func() { meta(db, config{}, `\statement `+fp) })
 	for _, want := range []string{
 		"statement " + fp + " kind=query calls=3",
-		"plan-cache: hit=1",
+		"plan-cache: hit=2",
 		"resources: rows=",
 		"captures: 3",
 		"exemplar 3: trace=",

@@ -42,12 +42,12 @@
 //	                      tax (digests ns/op ÷ off ns/op): fingerprinting,
 //	                      digest accounting and the windowed latency
 //	                      histogram must stay within a few percent
-//	-min-read-scaling     validation bound on the B18 mixed-workload read
-//	                      scaling: reads completed by four readers WHILE a
-//	                      writer's statement was executing, snapshot-read
-//	                      engine ÷ SerialReads engine. Serial readers
-//	                      block on the engine mutex for the whole commit,
-//	                      so the bound holds even on single-CPU machines
+//	-min-commit-reads     validation floor on the B18 mixed-workload
+//	                      during-commit reads: reads completed by four
+//	                      readers WHILE a writer's statement held the
+//	                      commit path. A reader that blocked on the
+//	                      engine mutex would complete none, so the floor
+//	                      holds even on single-CPU machines
 //	-max-ckpt-ratio       validation bound on the B18 incremental
 //	                      checkpoint ratio (bytes written ÷ full
 //	                      checkpoint footprint after a single-relation
@@ -85,8 +85,9 @@ import (
 // Schema 2 added FlightOverhead; schema 3 added Parallel (B13); schema 4
 // added PlanCache (B14); schema 5 added WAL (B15); schema 6 added
 // Telemetry (B16); schema 7 added Insights (B17); schema 8 added MVCC
-// (B18).
-const reportSchema = 8
+// (B18); schema 9 dropped B18's serial arm (serial_commit_reads,
+// read_scaling) with the engine's SerialReads option.
+const reportSchema = 9
 
 // Benchmark is one measured benchmark in the report.
 type Benchmark struct {
@@ -200,28 +201,25 @@ type InsightsSummary struct {
 // is in flight.  Each round starts one writer statement that drags a
 // negated self-join scan through the commit path (a multi-millisecond
 // engine-mutex hold), then releases four readers and counts only the
-// reads that finish before the statement does.  On a SerialReads engine
-// (the pre-MVCC architecture) every read takes the mutex, so the count
-// is ~zero; on the default engine readers pin the published snapshot
-// and never block, so the count is thousands.  ReadScaling is the
-// snapshot ÷ serial ratio (serial clamped to ≥1), and it holds on one
-// CPU — free-running aggregate throughput would not, because the OS
-// scheduler time-shares blocked readers' CPU back to the writer and
-// the arms converge.  The ckpt family takes a full checkpoint, updates
+// reads that finish before the statement does.  A read path that took
+// the engine mutex (the pre-MVCC architecture) would count ~zero;
+// readers that pin the published snapshot never block, so the count is
+// thousands.  The count is gated as an absolute floor, which holds on
+// one CPU — free-running aggregate throughput would not, because the OS
+// scheduler time-shares blocked readers' CPU back to the writer.  The
+// ckpt family takes a full checkpoint, updates
 // a single relation, checkpoints again, and reports written ÷ total
 // bytes for the second checkpoint — the incremental-checkpoint ratio,
 // bounded because every unchanged relation segment is reused by
 // reference.
 type MVCCSummary struct {
-	NumCPU            int     `json:"num_cpu"`
-	GoMaxProcs        int     `json:"gomaxprocs"`
-	ReaderSpeedup4    float64 `json:"reader_speedup_4"`    // 4 × serial ns/op ÷ 4-reader ns/op
-	SerialCommitReads uint64  `json:"serial_commit_reads"` // reads finished during commits, SerialReads engine
-	MVCCCommitReads   uint64  `json:"mvcc_commit_reads"`   // reads finished during commits, snapshot engine
-	ReadScaling       float64 `json:"read_scaling"`        // mvcc ÷ max(serial, 1) commit reads
-	CkptWroteBytes    int64   `json:"ckpt_wrote_bytes"`    // second checkpoint: bytes written
-	CkptTotalBytes    int64   `json:"ckpt_total_bytes"`    // second checkpoint: full footprint
-	CkptRatio         float64 `json:"ckpt_ratio"`          // wrote ÷ total after one-relation update
+	NumCPU          int     `json:"num_cpu"`
+	GoMaxProcs      int     `json:"gomaxprocs"`
+	ReaderSpeedup4  float64 `json:"reader_speedup_4"`  // 4 × one-reader ns/op ÷ 4-reader ns/op
+	MVCCCommitReads uint64  `json:"mvcc_commit_reads"` // reads finished during commits
+	CkptWroteBytes  int64   `json:"ckpt_wrote_bytes"`  // second checkpoint: bytes written
+	CkptTotalBytes  int64   `json:"ckpt_total_bytes"`  // second checkpoint: full footprint
+	CkptRatio       float64 `json:"ckpt_ratio"`        // wrote ÷ total after one-relation update
 }
 
 // Report is the BENCH_report.json envelope.
@@ -256,7 +254,7 @@ func main() {
 		minAmort  = flag.Float64("min-group-amortize", 1.5, "validation bound on the B15 sync÷group exec amortization")
 		maxTelem  = flag.Float64("max-telemetry-overhead", 1.03, "validation bound on the B16 windowed÷off telemetry ratio")
 		maxIns    = flag.Float64("max-insights-overhead", 1.03, "validation bound on the B17 digests÷off insights ratio")
-		minScale  = flag.Float64("min-read-scaling", 2.5, "validation bound on the B18 snapshot÷serial during-commit read scaling")
+		minReads  = flag.Uint64("min-commit-reads", 3, "validation floor on the B18 reads completed while a writer holds the commit path")
 		maxCkpt   = flag.Float64("max-ckpt-ratio", 0.25, "validation bound on the B18 incremental checkpoint wrote÷total ratio")
 	)
 	flag.Parse()
@@ -272,7 +270,7 @@ func main() {
 		return
 	}
 	if *validate != "" {
-		if err := validateReport(*validate, *maxRatio, *maxFlight, *minPar, *minHit, *minPlan, *maxWAL, *minAmort, *maxTelem, *maxIns, *minScale, *maxCkpt); err != nil {
+		if err := validateReport(*validate, *maxRatio, *maxFlight, *minPar, *minHit, *minPlan, *maxWAL, *minAmort, *maxTelem, *maxIns, *minReads, *maxCkpt); err != nil {
 			fmt.Fprintln(os.Stderr, "idlbench:", err)
 			os.Exit(1)
 		}
@@ -318,9 +316,8 @@ func main() {
 	fmt.Printf("%-40s digests-ratio=%.3f (off=%dns digests=%dns capture=%dns)\n",
 		"B17/insights-overhead", rep.Insights.DigestsRatio,
 		rep.Insights.OffNsPerOp, rep.Insights.DigestsNsPerOp, rep.Insights.CaptureNsPerOp)
-	fmt.Printf("%-40s read-scaling=%.0fx (during-commit reads serial=%d mvcc=%d) reader-speedup4=%.2fx ckpt-ratio=%.3f (%d/%d bytes)\n",
-		"B18/mvcc", rep.MVCC.ReadScaling,
-		rep.MVCC.SerialCommitReads, rep.MVCC.MVCCCommitReads, rep.MVCC.ReaderSpeedup4,
+	fmt.Printf("%-40s during-commit reads=%d reader-speedup4=%.2fx ckpt-ratio=%.3f (%d/%d bytes)\n",
+		"B18/mvcc", rep.MVCC.MVCCCommitReads, rep.MVCC.ReaderSpeedup4,
 		rep.MVCC.CkptRatio, rep.MVCC.CkptWroteBytes, rep.MVCC.CkptTotalBytes)
 	fmt.Println("wrote", *out)
 }
@@ -407,9 +404,10 @@ func compareReports(oldRep, newRep *Report, maxRegress float64) (lines, regressi
 // flight-recorder overhead under the stated bounds, the B13 sync-family
 // parallel speedup above its floor, the B14 plan-cache hit rate and
 // repeated-query speedup above theirs, the B16 windowed-telemetry and
-// B17 statement-digest taxes under their ceilings, and the B18 MVCC
-// read scaling and incremental-checkpoint ratio inside their bounds.
-func validateReport(path string, maxRatio, maxFlight, minParallel, minHitRate, minPlanSpeedup, maxWALOverhead, minGroupAmortize, maxTelemetry, maxInsights, minReadScaling, maxCkptRatio float64) error {
+// B17 statement-digest taxes under their ceilings, and the B18
+// during-commit reads and incremental-checkpoint ratio inside their
+// bounds.
+func validateReport(path string, maxRatio, maxFlight, minParallel, minHitRate, minPlanSpeedup, maxWALOverhead, minGroupAmortize, maxTelemetry, maxInsights float64, minCommitReads uint64, maxCkptRatio float64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -494,13 +492,11 @@ func validateReport(path string, maxRatio, maxFlight, minParallel, minHitRate, m
 		return fmt.Errorf("%s: insights digests ratio %.3f exceeds bound %.3f", path, in.DigestsRatio, maxInsights)
 	}
 	mv := rep.MVCC
-	// SerialCommitReads is legitimately zero — serial readers block for
-	// the whole commit; only the snapshot arm must have measured reads.
 	if mv.MVCCCommitReads == 0 {
 		return fmt.Errorf("%s: MVCC mixed family not measured", path)
 	}
-	if mv.ReadScaling < minReadScaling {
-		return fmt.Errorf("%s: MVCC read scaling %.2fx below bound %.2fx", path, mv.ReadScaling, minReadScaling)
+	if mv.MVCCCommitReads < minCommitReads {
+		return fmt.Errorf("%s: %d reads completed during commits, below floor %d", path, mv.MVCCCommitReads, minCommitReads)
 	}
 	if mv.CkptWroteBytes <= 0 || mv.CkptTotalBytes <= 0 {
 		return fmt.Errorf("%s: incremental checkpoint not measured", path)
@@ -1191,17 +1187,14 @@ func runAll(short bool) *Report {
 		// self-join scan holds the engine mutex for several milliseconds,
 		// waits for the writer to be inside its critical section, then
 		// releases the readers and counts only reads that FINISH before
-		// the statement does. Serial readers block on the mutex for the
-		// whole commit (count ~0); snapshot readers keep reading the
-		// published head. Counting completions during the commit — rather
-		// than free-running throughput over a window — is what makes the
-		// gate hold on one CPU: a blocked reader's timeslice goes back to
-		// the writer, so wall-clock aggregate rates converge between the
-		// arms even though the serial arm spends every commit frozen.
-		commitReads := func(serial bool) uint64 {
-			opts := core.DefaultOptions()
-			opts.SerialReads = serial
-			e, _ := engineFor(stocks.Config{Stocks: 96, Days: 40, Seed: 61}, opts)
+		// the statement does. Snapshot readers keep reading the published
+		// head; a reader blocked on the mutex would count ~0. Counting
+		// completions during the commit — rather than free-running
+		// throughput over a window — is what makes the floor hold on one
+		// CPU: a blocked reader's timeslice goes back to the writer, so
+		// wall-clock aggregate rates would hide a frozen read path.
+		{
+			e, _ := engineFor(stocks.Config{Stocks: 96, Days: 40, Seed: 61}, core.DefaultOptions())
 			// Flip one tuple in and out so every commit mutates; the scan
 			// conjuncts are the lock hold.
 			ins := parse("?.euter.r(.date=D,.stkCode=S,.clsPrice=P), .euter.r~(.date=D, .clsPrice>P), .euter.r+(.date=1/2/86,.stkCode=mix,.clsPrice=42)")
@@ -1251,8 +1244,8 @@ func runAll(short bool) *Report {
 							if _, err := e.Query(readQ); err != nil {
 								panic(err)
 							}
-							// Completions after the statement finished (the
-							// serial arm's unblocked stragglers) don't count.
+							// Completions after the statement finished don't
+							// count.
 							if inFlight.Load() {
 								during.Add(1)
 							}
@@ -1267,16 +1260,13 @@ func runAll(short bool) *Report {
 				<-roundDone
 				wg.Wait()
 				// Republish the head for the next round (the commit
-				// invalidated it); on the serial engine this is a plain read.
+				// invalidated it).
 				if _, err := e.Query(readQ); err != nil {
 					panic(err)
 				}
 			}
-			return during.Load()
+			rep.MVCC.MVCCCommitReads = during.Load()
 		}
-		rep.MVCC.SerialCommitReads = commitReads(true)
-		rep.MVCC.MVCCCommitReads = commitReads(false)
-		rep.MVCC.ReadScaling = float64(rep.MVCC.MVCCCommitReads) / float64(max(rep.MVCC.SerialCommitReads, 1))
 
 		// Checkpoint ratio: full checkpoint, single-relation update,
 		// checkpoint again; the second checkpoint's wrote ÷ total bytes is

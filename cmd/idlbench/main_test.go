@@ -34,8 +34,8 @@ func report(benches map[string]int64) *Report {
 		},
 		MVCC: MVCCSummary{
 			NumCPU: 1, GoMaxProcs: 1, ReaderSpeedup4: 1.0,
-			SerialCommitReads: 0, MVCCCommitReads: 5000, ReadScaling: 5000,
-			CkptWroteBytes: 500, CkptTotalBytes: 10000, CkptRatio: 0.05,
+			MVCCCommitReads: 5000,
+			CkptWroteBytes:  500, CkptTotalBytes: 10000, CkptRatio: 0.05,
 		},
 	}
 	for name, ns := range benches {
@@ -93,85 +93,85 @@ func TestCompareFiles(t *testing.T) {
 
 func TestValidateReport(t *testing.T) {
 	good := writeReport(t, report(map[string]int64{"B1": 100}))
-	if err := validateReport(good, 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err != nil {
+	if err := validateReport(good, 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 3, 0.25); err != nil {
 		t.Errorf("well-formed report should validate: %v", err)
 	}
-	if err := validateReport(good, 3.0, 1.01, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
+	if err := validateReport(good, 3.0, 1.01, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 3, 0.25); err == nil {
 		t.Error("flight overhead 1.04 should exceed a 1.01 bound")
 	}
 	noFlight := report(map[string]int64{"B1": 100})
 	noFlight.FlightOverhead = FlightOverhead{}
-	if err := validateReport(writeReport(t, noFlight), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
+	if err := validateReport(writeReport(t, noFlight), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 3, 0.25); err == nil {
 		t.Error("missing flight overhead should fail validation")
 	}
 	stale := report(map[string]int64{"B1": 100})
 	stale.Schema = 1
-	if err := validateReport(writeReport(t, stale), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
+	if err := validateReport(writeReport(t, stale), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 3, 0.25); err == nil {
 		t.Error("stale schema should fail validation")
 	}
 	slow := report(map[string]int64{"B1": 100})
 	slow.Parallel.SyncSpeedup4 = 1.2
-	if err := validateReport(writeReport(t, slow), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
+	if err := validateReport(writeReport(t, slow), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 3, 0.25); err == nil {
 		t.Error("sync speedup 1.2 should miss a 1.5 floor")
 	}
 	unmeasured := report(map[string]int64{"B1": 100})
 	unmeasured.Parallel = ParallelSpeedup{}
-	if err := validateReport(writeReport(t, unmeasured), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
+	if err := validateReport(writeReport(t, unmeasured), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 3, 0.25); err == nil {
 		t.Error("missing parallel speedup should fail validation")
 	}
 	coldCache := report(map[string]int64{"B1": 100})
 	coldCache.PlanCache.HitRate = 0.5
-	if err := validateReport(writeReport(t, coldCache), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
+	if err := validateReport(writeReport(t, coldCache), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 3, 0.25); err == nil {
 		t.Error("hit rate 0.5 should miss a 0.95 floor")
 	}
 	slowPlan := report(map[string]int64{"B1": 100})
 	slowPlan.PlanCache.Speedup = 1.05
-	if err := validateReport(writeReport(t, slowPlan), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
+	if err := validateReport(writeReport(t, slowPlan), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 3, 0.25); err == nil {
 		t.Error("plan-cache speedup 1.05 should miss a 1.15 floor")
 	}
 	noPlan := report(map[string]int64{"B1": 100})
 	noPlan.PlanCache = PlanCacheSummary{}
-	if err := validateReport(writeReport(t, noPlan), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
+	if err := validateReport(writeReport(t, noPlan), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 3, 0.25); err == nil {
 		t.Error("missing plan-cache section should fail validation")
 	}
 	taxed := report(map[string]int64{"B1": 100})
 	taxed.WAL.QueryRatio = 1.4
-	if err := validateReport(writeReport(t, taxed), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
+	if err := validateReport(writeReport(t, taxed), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 3, 0.25); err == nil {
 		t.Error("WAL query ratio 1.4 should exceed a 1.15 bound")
 	}
 	noAmort := report(map[string]int64{"B1": 100})
 	noAmort.WAL.GroupAmortization = 0.8
-	if err := validateReport(writeReport(t, noAmort), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
+	if err := validateReport(writeReport(t, noAmort), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 3, 0.25); err == nil {
 		t.Error("group amortization 0.8 should miss a 1.0 floor")
 	}
 	noWAL := report(map[string]int64{"B1": 100})
 	noWAL.WAL = WALSummary{}
-	if err := validateReport(writeReport(t, noWAL), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
+	if err := validateReport(writeReport(t, noWAL), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 3, 0.25); err == nil {
 		t.Error("missing WAL section should fail validation")
 	}
 	taxedIns := report(map[string]int64{"B1": 100})
 	taxedIns.Insights.DigestsRatio = 1.2
-	if err := validateReport(writeReport(t, taxedIns), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
+	if err := validateReport(writeReport(t, taxedIns), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 3, 0.25); err == nil {
 		t.Error("insights digests ratio 1.2 should exceed a 1.03 bound")
 	}
 	noIns := report(map[string]int64{"B1": 100})
 	noIns.Insights = InsightsSummary{}
-	if err := validateReport(writeReport(t, noIns), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
+	if err := validateReport(writeReport(t, noIns), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 3, 0.25); err == nil {
 		t.Error("missing insights section should fail validation")
 	}
 	blocked := report(map[string]int64{"B1": 100})
-	blocked.MVCC.ReadScaling = 1.1
-	if err := validateReport(writeReport(t, blocked), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
-		t.Error("read scaling 1.1 should miss a 2.5 floor")
+	blocked.MVCC.MVCCCommitReads = 2
+	if err := validateReport(writeReport(t, blocked), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 3, 0.25); err == nil {
+		t.Error("2 during-commit reads should miss a floor of 3")
 	}
 	noMVCC := report(map[string]int64{"B1": 100})
 	noMVCC.MVCC = MVCCSummary{}
-	if err := validateReport(writeReport(t, noMVCC), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
+	if err := validateReport(writeReport(t, noMVCC), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 3, 0.25); err == nil {
 		t.Error("missing MVCC section should fail validation")
 	}
 	fatCkpt := report(map[string]int64{"B1": 100})
 	fatCkpt.MVCC.CkptRatio = 0.9
-	if err := validateReport(writeReport(t, fatCkpt), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 2.5, 0.25); err == nil {
+	if err := validateReport(writeReport(t, fatCkpt), 3.0, 1.25, 1.5, 0.95, 1.15, 1.15, 1.0, 1.03, 1.03, 3, 0.25); err == nil {
 		t.Error("checkpoint ratio 0.9 should exceed a 0.25 bound")
 	}
 }
@@ -205,7 +205,7 @@ func TestRunAllShort(t *testing.T) {
 	if rep.Insights.DigestsRatio <= 0 {
 		t.Error("insights families not measured")
 	}
-	if rep.MVCC.MVCCCommitReads == 0 || rep.MVCC.ReadScaling <= 0 {
+	if rep.MVCC.MVCCCommitReads == 0 {
 		t.Error("MVCC mixed family not measured")
 	}
 	if rep.MVCC.CkptRatio <= 0 || rep.MVCC.CkptRatio > 1 {

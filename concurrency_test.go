@@ -315,13 +315,21 @@ func TestConcurrentParallelMountUnmount(t *testing.T) {
 }
 
 // TestConcurrentStatsAndMetrics hammers Stats/ResetStats and the
-// metrics registry while queries, traced queries, and ExplainAnalyze
-// run from other goroutines. Every operation evaluates into a local
-// Stats merged under the engine mutex, so the counters must stay
-// coherent under the race detector.
+// metrics registry while traced queries and ExplainAnalyze run from
+// other goroutines at four workers, so per-worker conjunct probes run
+// concurrently too. Every operation evaluates into a local Stats merged
+// under a stats lock, so the counters must stay coherent under the race
+// detector.
 func TestConcurrentStatsAndMetrics(t *testing.T) {
 	db := Open()
 	seedStocks(t, db)
+	// Enough euter rows that its scans split across the workers.
+	for i := 0; i < 24; i++ {
+		if _, err := db.Catalog().Insert("euter", "r", Tup("date", Date(85, 4, 1+i), "stkCode", "dec", "clsPrice", 10+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.SetWorkers(4)
 	reg := db.Metrics()
 	db.EnableTracing(8)
 	const goroutines = 8
@@ -332,7 +340,7 @@ func TestConcurrentStatsAndMetrics(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				switch (g + i) % 4 {
+				switch (g + i) % 5 {
 				case 0:
 					if _, err := db.Query("?.euter.r(.stkCode=S, .clsPrice>100)"); err != nil {
 						t.Error(err)
@@ -350,6 +358,11 @@ func TestConcurrentStatsAndMetrics(t *testing.T) {
 				case 3:
 					db.Engine().ResetStats()
 					db.ResetMetrics()
+				case 4:
+					if _, _, err := db.ExplainAnalyzeCtx(context.Background(), "?.euter.r(.stkCode=S, .clsPrice=P)"); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}
 		}()
@@ -370,4 +383,55 @@ func TestConcurrentStatsAndMetrics(t *testing.T) {
 	if tr := db.Tracer(); len(tr.Recent()) == 0 {
 		t.Error("tracer should retain the final query span")
 	}
+}
+
+// TestQueryDuringBlockedCommit: a facade read must not wait for a
+// commit in progress. While an UpdateBase functor holds the engine's
+// commit path, DB.Query (recorder on, metrics and tracing attached)
+// answers from the published snapshot.
+func TestQueryDuringBlockedCommit(t *testing.T) {
+	db := Open()
+	seedStocks(t, db)
+	db.Metrics()
+	db.EnableTracing(8)
+	const src = "?.euter.r(.stkCode=S, .clsPrice>200)"
+	want, err := db.Query(src) // publishes the snapshot head
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	committed := make(chan struct{})
+	go func() {
+		defer close(committed)
+		db.Engine().UpdateBase(func(*Tuple) bool {
+			close(entered)
+			<-release
+			return false
+		})
+	}()
+	<-entered
+	type result struct {
+		res *Result
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := db.Query(src)
+		done <- result{res, err}
+	}()
+	select {
+	case r := <-done:
+		close(release)
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.res.String() != want.String() {
+			t.Errorf("read during commit = %s, want %s", r.res, want)
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("DB.Query blocked behind a commit in progress")
+	}
+	<-committed
 }

@@ -308,39 +308,45 @@ func TestDifferentialExperiments(t *testing.T) {
 	})
 }
 
-// TestDifferentialMVCCModes byte-compares the two concurrency-control
-// modes: SerialReads (every query under the engine mutex — the old
-// single-mutex behavior) and MVCC snapshot reads (the default lock-free
-// path), across worker counts 0/1/2/4/8, over every E1–E12 experiment.
-// The read path must be invisible to answers, row order, update counts
-// and errors alike.
+// TestDifferentialMVCCModes byte-compares the read path's two ways of
+// reaching a version: "freeze", where every statement first drops the
+// published head (Invalidate), so each read refreshes the universe and
+// freezes a fresh snapshot under the engine mutex before evaluating it;
+// and "pinned", the default, where reads pin the snapshot already
+// published. Both run across worker counts 0/1/2/4/8, over every
+// E1–E12 experiment. How a read reaches its version must be invisible
+// to answers, row order, update counts and errors alike.
 func TestDifferentialMVCCModes(t *testing.T) {
-	ccModes := []struct {
-		name string
-		set  func(*Options)
-	}{
-		{"mutex", func(o *Options) { o.SerialReads = true }},
-		{"mvcc", func(o *Options) {}},
-	}
 	workerGrid := []int{0, 1, 2, 4, 8}
 	for _, exp := range diffExperiments {
 		exp := exp
 		t.Run(exp.name, func(t *testing.T) {
-			run := func(mode func(*Options), workers int) []string {
-				db := diffOpen(mode, workers)
+			run := func(freeze bool, workers int) []string {
+				db := diffOpen(func(*Options) {}, workers)
 				diffFixture(t, db)
 				if exp.setup != nil {
 					exp.setup(t, db)
 				}
-				return diffTranscript(t, db, exp.stmts)
+				if !freeze {
+					return diffTranscript(t, db, exp.stmts)
+				}
+				var out []string
+				for _, stmt := range exp.stmts {
+					db.Engine().Invalidate()
+					out = append(out, diffTranscript(t, db, []string{stmt})...)
+				}
+				return out
 			}
-			base := run(ccModes[0].set, 0)
-			for _, m := range ccModes {
+			base := run(true, 0)
+			for _, m := range []struct {
+				name   string
+				freeze bool
+			}{{"freeze", true}, {"pinned", false}} {
 				for _, w := range workerGrid {
-					if m.name == ccModes[0].name && w == 0 {
+					if m.freeze && w == 0 {
 						continue
 					}
-					diffCompare(t, fmt.Sprintf("%s cc=%s workers=%d", exp.name, m.name, w), base, run(m.set, w))
+					diffCompare(t, fmt.Sprintf("%s read=%s workers=%d", exp.name, m.name, w), base, run(m.freeze, w))
 				}
 			}
 		})

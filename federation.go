@@ -159,23 +159,11 @@ func (db *DB) queryParsed(ctx context.Context, q *ast.Query) (*Result, error) {
 // runQueryOp wraps one read-only evaluation (ad hoc or prepared) with
 // the shared query machinery: the flight-recorder op, member sync under
 // the configured failure mode, degradation reporting, and answer/plan
-// annotations.
+// annotations. The tracer, worker count and options are read without the engine
+// mutex, so a read does not wait for a commit in progress.
 func (db *DB) runQueryOp(ctx context.Context, q *ast.Query, eval func(context.Context) (*Result, error)) (*Result, error) {
 	ins := db.insightsRef()
-	op := db.rec.Begin(qlog.KindQuery)
-	tracer := db.engine.Tracer()
-	var tid string
-	if op != nil || tracer != nil || (ins != nil && ins.CaptureEnabled()) {
-		// The trace ID joins this query's event, journal record, span
-		// tree, member fetches, WAL commits and slow-query exemplars
-		// across layers. A ctx already carrying an ID (the wire server's
-		// X-Trace-Id adoption) keeps it.
-		tid = db.traceIDFor(ctx)
-		op.SetTraceID(tid)
-		if op == nil {
-			ctx = qlog.WithTraceID(ctx, tid)
-		}
-	}
+	ctx, op, tid := db.beginOp(ctx, qlog.KindQuery, ins)
 	var start time.Time
 	if ins != nil {
 		start = time.Now()
@@ -183,12 +171,6 @@ func (db *DB) runQueryOp(ctx context.Context, q *ast.Query, eval func(context.Co
 	if op != nil {
 		op.SetText(q.String())
 		op.SetWorkers(db.engine.Workers())
-		// Tag the context only when a tracer will consume the IDs: the
-		// tag upgrades a Background context into a value-carrying one,
-		// which the evaluator then polls.
-		if tracer != nil {
-			ctx = op.Context(ctx)
-		}
 	}
 	rep, err := db.syncSources(ctx, db.engine.Options().BestEffort)
 	if err != nil {
@@ -237,22 +219,10 @@ func (db *DB) runQueryOp(ctx context.Context, q *ast.Query, eval func(context.Co
 // unreachable member aborts the request before any mutation.
 func (db *DB) execParsed(ctx context.Context, q *ast.Query) (*ExecInfo, error) {
 	ins := db.insightsRef()
-	op := db.rec.Begin(qlog.KindExec)
-	tracer := db.engine.Tracer()
-	var tid string
-	if op != nil || tracer != nil || (ins != nil && ins.CaptureEnabled()) {
-		tid = db.traceIDFor(ctx)
-		op.SetTraceID(tid)
-		if op == nil {
-			ctx = qlog.WithTraceID(ctx, tid)
-		}
-	}
+	ctx, op, tid := db.beginOp(ctx, qlog.KindExec, ins)
 	if op != nil {
 		op.SetText(q.String())
 		op.SetWorkers(db.engine.Workers())
-		if tracer != nil {
-			ctx = op.Context(ctx)
-		}
 	}
 	var start time.Time
 	if ins != nil {

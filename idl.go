@@ -80,7 +80,7 @@ type Stats = core.Stats
 
 // MVCCStats reports the engine's snapshot version chain: live versions,
 // pinned readers, retained bytes, and copy-on-write / collection
-// counters (see Options.MaxRevisions and Options.SerialReads).
+// counters (see Options.MaxRevisions).
 type MVCCStats = core.MVCCStats
 
 // Options tune the engine (index use, semi-naive evaluation, iteration
@@ -347,18 +347,7 @@ func (db *DB) CallCtx(ctx context.Context, namespace, name string, params map[st
 		}
 	}
 	ins := db.insightsRef()
-	op := db.rec.Begin(qlog.KindCall)
-	tracer := db.engine.Tracer()
-	var tid string
-	if op != nil || tracer != nil || (ins != nil && ins.CaptureEnabled()) {
-		tid = db.traceIDFor(ctx)
-		op.SetTraceID(tid)
-		if op == nil {
-			ctx = qlog.WithTraceID(ctx, tid)
-		} else if tracer != nil {
-			ctx = op.Context(ctx)
-		}
-	}
+	ctx, op, tid := db.beginOp(ctx, qlog.KindCall, ins)
 	var text string
 	if op != nil || db.wal != nil || ins != nil {
 		var attrs map[string]string

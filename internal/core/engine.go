@@ -72,11 +72,6 @@ type Options struct {
 	// unpinned versions beyond the newest MaxRevisions are collected
 	// (pinned versions always survive). 0 selects the default of 4.
 	MaxRevisions int
-	// SerialReads disables the MVCC lock-free read path: queries
-	// evaluate under the engine mutex exactly as before the versioned
-	// universe landed. Used as the single-mutex baseline by the B18
-	// bench family and the differential suite's {mutex} arm.
-	SerialReads bool
 }
 
 // DefaultOptions returns the production defaults.
@@ -92,8 +87,8 @@ func DefaultOptions() Options {
 // An Engine is safe for concurrent use. Mutations (Execute, Call,
 // UpdateBase, DDL, rule registration) serialize on the engine mutex;
 // queries pin an immutable snapshot version (version.go) and evaluate
-// lock-free, falling back to the mutex only to freeze a fresh snapshot
-// after a mutation — or always, under Options.SerialReads.
+// lock-free, taking the mutex only to freeze a fresh snapshot after a
+// mutation.
 type Engine struct {
 	mu sync.Mutex
 
@@ -102,6 +97,9 @@ type Engine struct {
 	regs    *programRegistry
 	indexes *indexCache
 	opts    Options
+	// optsPub is a copy of opts republished by every options setter, so
+	// Options and Workers read it without e.mu.
+	optsPub atomic.Pointer[Options]
 	stats   Stats
 	// statsMu guards the aggregate evaluator counters: lock-free
 	// snapshot readers merge their local counters without e.mu.
@@ -137,10 +135,11 @@ type Engine struct {
 	// metrics/tracer are the optional observability hooks (obs.go); em
 	// caches per-metric pointers so operations skip registry lookups.
 	// All three are nil by default — instrumentation sites reduce to
-	// pointer tests, keeping observability zero-cost when disabled.
+	// pointer tests, keeping observability zero-cost when disabled. The
+	// tracer is an atomic pointer: readers load it without e.mu.
 	metrics *obs.Registry
 	em      *engineMetrics
-	tracer  *obs.Tracer
+	tracer  atomic.Pointer[obs.Tracer]
 
 	derivedDynamic map[string]bool            // db -> has higher-order heads
 	derivedRels    map[string]map[string]bool // db -> rel -> derived
@@ -161,8 +160,9 @@ type Engine struct {
 
 	// unavailable names federated member databases whose last sync
 	// failed (best-effort mode); Explain marks conjuncts over them as
-	// skipped. Maintained by the federation layer via SetUnavailable.
-	unavailable map[string]bool
+	// skipped. Maintained by the federation layer via SetUnavailable,
+	// which replaces the map wholesale, so readers load it without e.mu.
+	unavailable atomic.Pointer[map[string]bool]
 	// readOnly names databases backed by federated sources: their
 	// contents are snapshots, so update requests targeting them are
 	// rejected rather than silently lost on the next sync.
@@ -192,7 +192,7 @@ func NewEngineWithOptions(opts Options) *Engine {
 	if opts.MaxIterations <= 0 {
 		opts.MaxIterations = 10000
 	}
-	return &Engine{
+	e := &Engine{
 		base:           object.NewTuple(),
 		regs:           newProgramRegistry(),
 		indexes:        newIndexCache(),
@@ -202,17 +202,25 @@ func NewEngineWithOptions(opts Options) *Engine {
 		derivedRels:    map[string]map[string]bool{},
 		dirty:          true,
 	}
+	e.optsPub.Store(&opts)
+	return e
 }
 
 // Base returns the extensional universe tuple. Callers who mutate it
 // directly (e.g. bulk loaders) must call Invalidate afterwards.
 func (e *Engine) Base() *object.Tuple { return e.base }
 
-// Options returns a copy of the engine options.
-func (e *Engine) Options() Options {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.opts
+// Options returns a copy of the engine options. It takes no lock, so
+// it never waits for a commit in progress.
+func (e *Engine) Options() Options { return *e.optsPub.Load() }
+
+// optionsChangedLocked republishes e.opts for lock-free readers and
+// drops the published MVCC head, because snapshots capture the options
+// they evaluate under. Callers hold e.mu.
+func (e *Engine) optionsChangedLocked() {
+	o := e.opts
+	e.optsPub.Store(&o)
+	e.invalidateHead()
 }
 
 // UpdateBase runs fn against the base universe under the engine mutex
@@ -231,17 +239,15 @@ func (e *Engine) UpdateBase(fn func(base *object.Tuple) bool) {
 // SetUnavailable records which federated member databases are currently
 // unreachable (nil clears). Explain marks conjuncts over them.
 func (e *Engine) SetUnavailable(names []string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if len(names) == 0 {
-		e.unavailable = nil
+		e.unavailable.Store(nil)
 		return
 	}
 	m := make(map[string]bool, len(names))
 	for _, n := range names {
 		m[n] = true
 	}
-	e.unavailable = m
+	e.unavailable.Store(&m)
 }
 
 // SetReadOnly marks databases as federated snapshots: update requests
@@ -432,14 +438,13 @@ func (e *Engine) Query(q *ast.Query) (*Answer, error) {
 // Reads are snapshot-isolated: the query pins the newest committed
 // version of the effective universe (version.go) and evaluates against
 // it without holding the engine mutex, so concurrent queries share the
-// machine instead of a lock queue. The mutex is taken only when no
-// fresh snapshot is published (the first read after a mutation freezes
-// one), under Options.SerialReads, or when a tracer is attached
-// (per-conjunct probes are not concurrency-safe).
+// machine instead of a lock queue. The mutex is taken only to freeze a
+// fresh snapshot when none is published (the first read after a
+// mutation), and the evaluation itself still runs after it is released.
 //
-// Unless the planner is bypassed (NoSchedule, Interpret, or a traced
-// run), evaluation goes through a compiled plan from the epoch-keyed
-// plan cache; the answer's Plan field reports the cache outcome.
+// Unless the planner is bypassed (NoSchedule, Interpret), evaluation
+// goes through a compiled plan from the epoch-keyed plan cache; the
+// answer's Plan field reports the cache outcome.
 func (e *Engine) QueryCtx(ctx context.Context, q *ast.Query) (*Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -447,239 +452,164 @@ func (e *Engine) QueryCtx(ctx context.Context, q *ast.Query) (*Answer, error) {
 	if ast.HasUpdate(q.Body) {
 		return nil, fmt.Errorf("core: query contains update expressions; use Execute")
 	}
-	if v := e.pinHead(); v != nil {
-		if v.opts.SerialReads || v.tracer != nil {
-			v.unpin()
-		} else {
-			defer v.unpin()
-			return e.runSnapshot(cancellable(ctx), ctx, q, v, nil, nil)
-		}
-	}
-	return e.queryLocked(ctx, q)
+	return e.read(ctx, q, nil, nil)
 }
 
-// queryLocked is the mutex-guarded read path: refresh the effective
-// universe, publish a fresh snapshot for subsequent lock-free readers,
-// and evaluate under the lock (pre-MVCC semantics).
-func (e *Engine) queryLocked(ctx context.Context, q *ast.Query) (*Answer, error) {
+// acquire pins a version for one read: the published head when there
+// is one, else — under e.mu — the effective universe refreshed and
+// frozen into a fresh head, pinned before the mutex is released. It
+// returns the view-materialization rounds that refresh ran. The caller
+// unpins.
+func (e *Engine) acquire(ctx context.Context) (*version, uint64, error) {
+	if v := e.pinHead(); v != nil {
+		return v, 0, nil
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cctx := cancellable(ctx)
 	rounds := e.fixpointRounds
-	if _, err := e.refreshEffective(cctx); err != nil {
+	if _, err := e.refreshEffective(ctx); err != nil {
+		return nil, 0, err
+	}
+	v := e.publishHeadLocked()
+	v.pins.Add(1)
+	return v, e.fixpointRounds - rounds, nil
+}
+
+// read is the one pure-query read path behind Engine.QueryCtx,
+// PreparedQuery.QueryCtx and ExplainAnalyzeQuery: acquire a version,
+// evaluate against it, release it.
+func (e *Engine) read(ctx context.Context, q *ast.Query, p *PreparedQuery, x *Explain) (*Answer, error) {
+	v, rounds, err := e.acquire(cancellable(ctx))
+	if err != nil {
 		return nil, err
 	}
-	if !e.opts.SerialReads {
-		e.publishHeadLocked()
-	}
-	ans, err := e.runPlanned(cctx, ctx, q, nil, nil)
+	defer v.unpin()
+	ans, err := e.evaluate(ctx, v, q, p, x)
 	if ans != nil {
-		ans.Resources.FixpointRounds = e.fixpointRounds - rounds
+		ans.Resources.FixpointRounds = rounds
 	}
 	return ans, err
 }
 
-// runPlanned evaluates a pure query under e.mu against the refreshed
-// effective universe. With pl == nil a plan is acquired according to the
-// engine options: from the plan cache (default), compiled cold
-// (NoPlanCache), or skipped entirely (Interpret / NoSchedule / traced
-// runs, which analyze the caller's AST transiently). Prepared queries
-// pass their own plan. All routes apply the same cost ranks, so answers
-// — including raw row order — are byte-identical across them.
-func (e *Engine) runPlanned(cctx context.Context, ctx context.Context, q *ast.Query, pl *queryPlan, info *PlanInfo) (*Answer, error) {
-	eff := e.effective
-	obsOn := e.em != nil || e.tracer != nil
+// evaluate answers a pure query against a pinned version with no engine
+// lock held. It first resolves what to run: a prepared query's plan
+// revalidated against v (p non-nil), a plan from the epoch-keyed cache,
+// or — under Interpret / NoSchedule — q itself with a transient
+// analysis. All routes apply the same cost ranks, so answers, including
+// raw row order, are byte-identical across them. The body then runs as a
+// partitioned scan when v's options ask for workers and its first scan
+// splits, sequentially otherwise.
+//
+// A traced run (a tracer is attached) and an EXPLAIN ANALYZE run (x
+// non-nil, filled with the plan and its actuals) measure each top-level
+// conjunct with probes — one set per worker on the partitioned path,
+// summed after the merge — so observing a query never changes which
+// plan or how many partitions it runs with. Shared state evaluate
+// touches is individually synchronized: the plan cache under planMu,
+// the index cache's sharded read locks, the statistics sync.Map, and
+// the aggregate counters under statsMu.
+func (e *Engine) evaluate(ctx context.Context, v *version, q *ast.Query, p *PreparedQuery, x *Explain) (*Answer, error) {
 	var start time.Time
-	var span *obs.Span
-	if obsOn {
+	if v.em != nil {
 		start = time.Now()
-		span = e.tracer.Start("query")
-		annotateOpID(span, ctx)
+	}
+	var pl *queryPlan
+	var info *PlanInfo
+	if p != nil {
+		pl, info = p.revalidate(v.eff, v.epoch, v.em)
 	}
 	// Answer variables are those with a positive occurrence; variables
 	// confined to negations are existential and never bind outward.
-	body := q.Body
-	var vars []string
-	var an *bodyAnalysis
-	switch {
-	case e.opts.NoSchedule:
-		// Ablation mode: strict left-to-right evaluation, no planner.
-		vars = ast.PositiveVars(q.Body)
-	case span != nil:
-		// Traced queries carry per-conjunct probes keyed by the caller's
-		// AST identity, so they evaluate q itself — with a transient
-		// analysis carrying the same cost ranks a plan would.
-		vars = ast.PositiveVars(q.Body)
-		an = e.analyzeBody(q.Body, eff, nil)
-	case e.opts.Interpret:
-		vars = ast.PositiveVars(q.Body)
-		an = e.analyzeBody(q.Body, eff, nil)
-	default:
-		if pl == nil {
-			var state string
-			pl, state = e.planFor(q, eff, e.epoch, e.opts, e.em)
-			info = &PlanInfo{Cache: state}
-			if state == "miss" || state == "cold" {
-				info.CompileNS = pl.compileNS
-			}
-		}
-		// Execute the plan's own AST: every evaluation of one plan walks
-		// identical pointers, so structurally equal queries enumerate
-		// identically whether they hit or miss the cache.
-		body = pl.q.Body
-		vars = pl.vars
-		an = pl.an
-	}
-	ans := newAnswer(vars)
-	var local Stats
-	ev := &evaluator{env: NewEnv(), indexes: e.indexes, useIndex: e.opts.UseIndex, noSchedule: e.opts.NoSchedule, stats: &local, ctx: cctx}
-	if an != nil {
-		ev.consumedCache = an.consumed
-		ev.ranks = an.ranks
-	}
-	var probes map[ast.Expr]*conjunctProbe
-	if span != nil {
-		// Traced queries carry per-conjunct child spans, measured by the
-		// same probes EXPLAIN ANALYZE uses.
-		probes = newProbes(q.Body.Conjuncts)
-		ev.analyze = &analyzeState{probes: probes}
-	}
-	// Parallel path: partition the query's first scan across workers and
-	// merge the per-chunk rows in chunk order, reproducing the sequential
-	// row order exactly. Traced queries (span != nil) stay sequential —
-	// per-conjunct probes are not parallel-safe.
-	var err error
-	ran := false
-	if e.opts.Workers > 1 && span == nil {
-		var chunks [][]Row
-		var ok bool
-		chunks, ok, err = e.parallelEnumerate(cctx, body, eff, vars, &local, an, e.opts, e.em)
-		if ok {
-			ran = true
-			if err == nil {
-				var mergeStart time.Time
-				if e.em != nil {
-					mergeStart = time.Now()
-				}
-				for _, rows := range chunks {
-					for _, r := range rows {
-						ans.add(r)
-					}
-				}
-				if e.em != nil {
-					e.em.mergeLatency.Observe(time.Since(mergeStart))
-				}
-			}
-		}
-	}
-	if !ran {
-		err = ev.satisfy(body, eff, func() error {
-			ans.add(ev.env.Snapshot(vars))
-			return nil
-		})
-	}
-	e.addStats(local)
-	if obsOn {
-		if e.em != nil {
-			e.em.record(&e.em.query, start, local, err)
-		}
-		if span != nil {
-			span.SetInt("rows", int64(ans.Len()))
-			span.SetInt("elements_scanned", int64(local.ElementsScanned))
-			span.SetInt("index_probes", int64(local.IndexProbes))
-			attachConjunctSpans(span, q.Body.Conjuncts, probes)
-			span.End()
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	ans.Plan = info
-	ans.Resources = resourcesFrom(local, ans.Len())
-	return ans, nil
-}
-
-// runSnapshot evaluates a pure query against a pinned immutable version
-// with NO engine lock held — the MVCC fast path. It mirrors runPlanned:
-// the same plan acquisition (from the planMu-guarded cache, keyed by the
-// version's epoch), the same cost ranks, the same parallel-partition
-// path, so answers — including raw row order — are byte-identical to the
-// locked path at the same epoch. Shared state it touches is individually
-// synchronized: the plan cache under planMu, the index cache's sharded
-// read locks, the statistics sync.Map, and the aggregate counters under
-// statsMu. pl, when non-nil, is a prepared query's revalidated plan.
-func (e *Engine) runSnapshot(cctx context.Context, ctx context.Context, q *ast.Query, v *version, pl *queryPlan, info *PlanInfo) (*Answer, error) {
-	eff := v.eff
-	em := v.em
-	var start time.Time
-	if em != nil {
-		start = time.Now()
-	}
-	body := q.Body
+	run := q
 	var vars []string
 	var an *bodyAnalysis
 	switch {
 	case v.opts.NoSchedule:
+		// Ablation mode: strict left-to-right evaluation, no planner.
 		vars = ast.PositiveVars(q.Body)
 	case v.opts.Interpret:
 		vars = ast.PositiveVars(q.Body)
-		an = e.analyzeBody(q.Body, eff, nil)
+		an = e.analyzeBody(q.Body, v.eff, nil)
 	default:
 		if pl == nil {
-			var state string
-			pl, state = e.planFor(q, eff, v.epoch, v.opts, em)
-			info = &PlanInfo{Cache: state}
-			if state == "miss" || state == "cold" {
-				info.CompileNS = pl.compileNS
-			}
+			pl, info = e.planFor(q, v.eff, v.epoch, v.opts, v.em)
 		}
-		body = pl.q.Body
-		vars = pl.vars
-		an = pl.an
+		// Execute the plan's own AST: every evaluation of one plan walks
+		// identical pointers, so structurally equal queries enumerate
+		// identically whether they hit or miss the cache.
+		run, vars, an = pl.q, pl.vars, pl.an
 	}
+	body := run.Body
+	var span *obs.Span
+	if tracer := e.tracer.Load(); tracer != nil {
+		name := "query"
+		if x != nil {
+			name = "explain-analyze"
+		}
+		span = tracer.Start(name)
+		annotateOpID(span, ctx)
+	}
+	var order []ast.Expr
+	var probes map[ast.Expr]*conjunctProbe
+	if span != nil || x != nil {
+		probes = newProbes(body.Conjuncts)
+	}
+	var runStart time.Time
+	if x != nil {
+		order = e.planQuery(x, run, v.eff, an, v.opts.UseIndex)
+		runStart = time.Now()
+	}
+	cctx := cancellable(ctx)
 	ans := newAnswer(vars)
 	var local Stats
-	ev := &evaluator{env: NewEnv(), indexes: e.indexes, useIndex: v.opts.UseIndex, noSchedule: v.opts.NoSchedule, stats: &local, ctx: cctx}
-	if an != nil {
-		ev.consumedCache = an.consumed
-		ev.ranks = an.ranks
-	}
-	var err error
-	ran := false
-	if v.opts.Workers > 1 {
-		var chunks [][]Row
-		var ok bool
-		chunks, ok, err = e.parallelEnumerate(cctx, body, eff, vars, &local, an, v.opts, em)
-		if ok {
-			ran = true
-			if err == nil {
-				var mergeStart time.Time
-				if em != nil {
-					mergeStart = time.Now()
-				}
-				for _, rows := range chunks {
-					for _, r := range rows {
-						ans.add(r)
-					}
-				}
-				if em != nil {
-					em.mergeLatency.Observe(time.Since(mergeStart))
+	chunks, partitioned, err := e.parallelEnumerate(cctx, body, v.eff, vars, &local, an, v.opts, v.em, probes)
+	if partitioned {
+		// Merge the per-chunk rows in chunk order, reproducing the
+		// sequential row order exactly.
+		if err == nil {
+			var mergeStart time.Time
+			if v.em != nil {
+				mergeStart = time.Now()
+			}
+			for _, rows := range chunks {
+				for _, r := range rows {
+					ans.add(r)
 				}
 			}
+			if v.em != nil {
+				v.em.mergeLatency.Observe(time.Since(mergeStart))
+			}
 		}
-	}
-	if !ran {
-		err = ev.satisfy(body, eff, func() error {
+	} else {
+		ev := &evaluator{env: NewEnv(), indexes: e.indexes, useIndex: v.opts.UseIndex, noSchedule: v.opts.NoSchedule, stats: &local, ctx: cctx}
+		if an != nil {
+			ev.consumedCache = an.consumed
+			ev.ranks = an.ranks
+		}
+		if probes != nil {
+			ev.analyze = &analyzeState{probes: probes}
+		}
+		err = ev.satisfy(body, v.eff, func() error {
 			ans.add(ev.env.Snapshot(vars))
 			return nil
 		})
 	}
 	e.addStats(local)
-	if em != nil {
-		em.record(&em.query, start, local, err)
+	if v.em != nil {
+		v.em.record(&v.em.query, start, local, err)
+	}
+	if span != nil {
+		span.SetInt("rows", int64(ans.Len()))
+		span.SetInt("elements_scanned", int64(local.ElementsScanned))
+		span.SetInt("index_probes", int64(local.IndexProbes))
+		attachConjunctSpans(span, body.Conjuncts, probes)
+		span.End()
 	}
 	if err != nil {
 		return nil, err
+	}
+	if x != nil {
+		x.attachActuals(order, probes, ans.Len(), time.Since(runStart))
 	}
 	ans.Plan = info
 	ans.Resources = resourcesFrom(local, ans.Len())
@@ -713,12 +643,13 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q *ast.Query) (*ExecResult, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	obsOn := e.em != nil || e.tracer != nil
+	tracer := e.tracer.Load()
+	obsOn := e.em != nil || tracer != nil
 	var start time.Time
 	var span *obs.Span
 	if obsOn {
 		start = time.Now()
-		span = e.tracer.Start("exec")
+		span = tracer.Start("exec")
 		annotateOpID(span, ctx)
 	}
 	var local Stats
@@ -788,12 +719,13 @@ func (e *Engine) CallCtx(ctx context.Context, db, name string, params map[string
 	if !ok {
 		return nil, fmt.Errorf("core: no update program %s.%s", db, name)
 	}
-	obsOn := e.em != nil || e.tracer != nil
+	tracer := e.tracer.Load()
+	obsOn := e.em != nil || tracer != nil
 	var start time.Time
 	var span *obs.Span
 	if obsOn {
 		start = time.Now()
-		span = e.tracer.Start("call")
+		span = tracer.Start("call")
 		annotateOpID(span, ctx)
 	}
 	var local Stats
@@ -857,12 +789,12 @@ func (e *Engine) refreshEffective(ctx context.Context) (*object.Tuple, error) {
 	if !e.dirty && e.effective != nil {
 		return e.effective, nil
 	}
-	obsOn := e.em != nil || e.tracer != nil
+	tracer := e.tracer.Load()
 	var start time.Time
 	var span *obs.Span
-	if obsOn && len(e.rules) > 0 {
+	if (e.em != nil || tracer != nil) && len(e.rules) > 0 {
 		start = time.Now()
-		span = e.tracer.Start("materialize")
+		span = tracer.Start("materialize")
 	}
 	var derived *object.Tuple
 	var stats RecomputeStats

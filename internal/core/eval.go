@@ -59,6 +59,15 @@ type conjunctProbe struct {
 	indexProbes uint64
 }
 
+// add accumulates another probe's measurements (a partitioned run's
+// per-worker probes sum into the run's probe).
+func (p *conjunctProbe) add(o *conjunctProbe) {
+	p.rows += o.rows
+	p.selfTime += o.selfTime
+	p.scanned += o.scanned
+	p.indexProbes += o.indexProbes
+}
+
 // analyzeState maps the top-level conjuncts under measurement to their
 // probes, keyed by expression identity. Only the conjuncts of the query
 // body are registered; nested tuple expressions miss the map and run

@@ -94,91 +94,53 @@ func (e *Explain) String() string {
 }
 
 // ExplainQuery produces the evaluation plan for a query without running
-// it.
+// it, against the same pinned version a query would read.
 func (e *Engine) ExplainQuery(q *ast.Query) (*Explain, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if ast.HasUpdate(q.Body) {
 		return nil, fmt.Errorf("core: cannot explain an update request")
 	}
-	eff, err := e.refreshEffective(nil)
+	v, _, err := e.acquire(nil)
 	if err != nil {
 		return nil, err
 	}
-	plan, _ := e.planQuery(q, eff, e.explainAnalysis(q, eff))
-	return plan, nil
-}
-
-// explainAnalysis computes the cost analysis EXPLAIN mirrors — the same
-// ranks execution uses — or nil under NoSchedule, where the scheduler
-// runs strictly left-to-right and ranks would misreport the order.
-func (e *Engine) explainAnalysis(q *ast.Query, eff *object.Tuple) *bodyAnalysis {
-	if e.opts.NoSchedule {
-		return nil
+	defer v.unpin()
+	// Mirror the ranks execution uses — none under NoSchedule, where the
+	// scheduler runs strictly left to right.
+	var an *bodyAnalysis
+	if !v.opts.NoSchedule {
+		an = e.analyzeBody(q.Body, v.eff, nil)
 	}
-	return e.analyzeBody(q.Body, eff, nil)
+	plan := &Explain{}
+	e.planQuery(plan, q, v.eff, an, v.opts.UseIndex)
+	return plan, nil
 }
 
 // ExplainAnalyzeQuery produces the plan and then executes the query,
 // annotating each step with its measured actuals (rows produced, set
 // elements scanned, index probes, self wall time). Both the plan and the
-// answer are returned.
+// answer are returned. The query runs exactly as QueryCtx would run it:
+// same plan, same worker partitioning.
 func (e *Engine) ExplainAnalyzeQuery(ctx context.Context, q *ast.Query) (*Explain, *Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if ast.HasUpdate(q.Body) {
 		return nil, nil, fmt.Errorf("core: cannot explain an update request")
 	}
-	cctx := cancellable(ctx)
-	eff, err := e.refreshEffective(cctx)
+	plan := &Explain{}
+	ans, err := e.read(ctx, q, nil, plan)
 	if err != nil {
 		return nil, nil, err
 	}
-	an := e.explainAnalysis(q, eff)
-	plan, order := e.planQuery(q, eff, an)
-	probes := newProbes(q.Body.Conjuncts)
-	vars := ast.PositiveVars(q.Body)
-	ans := newAnswer(vars)
-	var local Stats
-	ev := &evaluator{
-		env: NewEnv(), indexes: e.indexes,
-		useIndex: e.opts.UseIndex, noSchedule: e.opts.NoSchedule,
-		stats: &local, ctx: cctx,
-		analyze: &analyzeState{probes: probes},
-	}
-	if an != nil {
-		// Execute with the same ranks the plan simulation used, so the
-		// actuals attach to the order the steps report.
-		ev.consumedCache = an.consumed
-		ev.ranks = an.ranks
-	}
-	span := e.tracer.Start("explain-analyze")
-	start := time.Now()
-	err = ev.satisfy(q.Body, eff, func() error {
-		ans.add(ev.env.Snapshot(vars))
-		return nil
-	})
-	total := time.Since(start)
-	e.addStats(local)
-	if e.em != nil {
-		e.em.record(&e.em.query, start, local, err)
-	}
-	if span != nil {
-		span.SetInt("rows", int64(ans.Len()))
-		span.SetInt("elements_scanned", int64(local.ElementsScanned))
-		span.SetInt("index_probes", int64(local.IndexProbes))
-		attachConjunctSpans(span, q.Body.Conjuncts, probes)
-		span.End()
-	}
-	if err != nil {
-		return nil, nil, err
-	}
+	return plan, ans, nil
+}
+
+// attachActuals annotates each step — order maps steps to the executed
+// conjuncts — with its probe's measurements and summarizes the run.
+func (x *Explain) attachActuals(order []ast.Expr, probes map[ast.Expr]*conjunctProbe, rows int, total time.Duration) {
 	for i, c := range order {
 		if p := probes[c]; p != nil {
-			plan.Steps[i].Analyze = &StepActuals{
+			x.Steps[i].Analyze = &StepActuals{
 				Rows:        p.rows,
 				Scanned:     p.scanned,
 				IndexProbes: p.indexProbes,
@@ -186,19 +148,18 @@ func (e *Engine) ExplainAnalyzeQuery(ctx context.Context, q *ast.Query) (*Explai
 			}
 		}
 	}
-	plan.Analyzed = true
-	plan.Rows = ans.Len()
-	plan.Total = total
-	return plan, ans, nil
+	x.Analyzed = true
+	x.Rows = rows
+	x.Total = total
 }
 
 // planQuery simulates the conjunct scheduler against the effective
-// universe, returning the static plan plus the scheduled conjuncts in
-// step order (the mapping ANALYZE uses to attach actuals). an, when
+// universe, filling plan's steps and returning the scheduled conjuncts
+// in step order (the mapping ANALYZE uses to attach actuals). an, when
 // non-nil, carries the cost ranks the real scheduler would use: among
 // runnable conjuncts the cheapest is picked, source order breaking ties
-// — the same rule as scheduleConjuncts. Callers hold e.mu.
-func (e *Engine) planQuery(q *ast.Query, eff *object.Tuple, an *bodyAnalysis) (*Explain, []ast.Expr) {
+// — the same rule as scheduleConjuncts.
+func (e *Engine) planQuery(plan *Explain, q *ast.Query, eff *object.Tuple, an *bodyAnalysis, useIndex bool) []ast.Expr {
 	conjuncts := q.Body.Conjuncts
 	consumed := make([][]string, len(conjuncts))
 	for i, c := range conjuncts {
@@ -208,6 +169,7 @@ func (e *Engine) planQuery(q *ast.Query, eff *object.Tuple, an *bodyAnalysis) (*
 	if an != nil {
 		ranks = an.ranks[q.Body]
 	}
+	down := e.unavailable.Load()
 	// Simulate the scheduler: repeatedly pick the cheapest conjunct whose
 	// consumed variables are all "bound" by previously scheduled ones.
 	bound := map[string]bool{}
@@ -215,7 +177,6 @@ func (e *Engine) planQuery(q *ast.Query, eff *object.Tuple, an *bodyAnalysis) (*
 	for i := range remaining {
 		remaining[i] = i
 	}
-	plan := &Explain{}
 	var order []ast.Expr
 	var scheduled []int
 	for len(remaining) > 0 {
@@ -243,16 +204,14 @@ func (e *Engine) planQuery(q *ast.Query, eff *object.Tuple, an *bodyAnalysis) (*
 			pick = 0
 		}
 		idx := remaining[pick]
-		step := e.explainConjunct(conjuncts[idx], consumed[idx], eff)
+		step := e.explainConjunct(conjuncts[idx], consumed[idx], eff, useIndex)
 		if ranks != nil && ranks[idx] < costHuge {
 			step.EstRows = int64(ranks[idx])
 			step.Estimated = true
 		}
-		if len(e.unavailable) > 0 {
-			if a, ok := conjuncts[idx].(*ast.AttrExpr); ok {
-				if db, ok := constTermName(a.Name); ok && e.unavailable[db] {
-					step.Skipped = true
-				}
+		if a, ok := conjuncts[idx].(*ast.AttrExpr); ok && down != nil {
+			if db, ok := constTermName(a.Name); ok && (*down)[db] {
+				step.Skipped = true
 			}
 		}
 		// Deferred: a textually later conjunct ran first.
@@ -270,12 +229,12 @@ func (e *Engine) planQuery(q *ast.Query, eff *object.Tuple, an *bodyAnalysis) (*
 		}
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
 	}
-	return plan, order
+	return order
 }
 
 // explainConjunct classifies one conjunct and resolves its access path
 // against the effective universe.
-func (e *Engine) explainConjunct(c ast.Expr, consumes []string, eff *object.Tuple) ExplainStep {
+func (e *Engine) explainConjunct(c ast.Expr, consumes []string, eff *object.Tuple, useIndex bool) ExplainStep {
 	step := ExplainStep{
 		Conjunct: c.String(),
 		Kind:     "query",
@@ -285,7 +244,7 @@ func (e *Engine) explainConjunct(c ast.Expr, consumes []string, eff *object.Tupl
 	switch x := c.(type) {
 	case *ast.Not:
 		step.Kind = "negation"
-		inner := e.explainConjunct(x.X, nil, eff)
+		inner := e.explainConjunct(x.X, nil, eff, useIndex)
 		step.Access = inner.Access
 		return step
 	case *ast.Constraint:
@@ -294,7 +253,7 @@ func (e *Engine) explainConjunct(c ast.Expr, consumes []string, eff *object.Tupl
 		return step
 	case *ast.AttrExpr:
 		step.Binds = producerVars(c, consumes)
-		step.Access = e.accessPath(x, eff)
+		step.Access = e.accessPath(x, eff, useIndex)
 		ast.Walk(c, func(node ast.Expr) bool {
 			if _, isNot := node.(*ast.Not); isNot {
 				step.Kind = "negation"
@@ -327,7 +286,7 @@ func producerVars(c ast.Expr, consumes []string) []string {
 
 // accessPath resolves whether the conjunct's relation-level set
 // expression would use an attribute index.
-func (e *Engine) accessPath(a *ast.AttrExpr, eff *object.Tuple) string {
+func (e *Engine) accessPath(a *ast.AttrExpr, eff *object.Tuple, useIndex bool) string {
 	// Walk the path: db attr -> rel attr -> set expr.
 	dbName, ok := constTermName(a.Name)
 	if !ok {
@@ -368,7 +327,7 @@ func (e *Engine) accessPath(a *ast.AttrExpr, eff *object.Tuple) string {
 			return "navigate"
 		}
 	}
-	if !e.opts.UseIndex || set == nil || set.Len() < 16 {
+	if !useIndex || set == nil || set.Len() < 16 {
 		return "scan"
 	}
 	te, ok := se.X.(*ast.TupleExpr)

@@ -34,7 +34,7 @@ func pinnedAnswer(t testing.TB, e *Engine, v *version, src string) string {
 		t.Fatalf("parse %q: %v", src, err)
 	}
 	ctx := context.Background()
-	ans, err := e.runSnapshot(cancellable(ctx), ctx, query, v, nil, nil)
+	ans, err := e.evaluate(ctx, v, query, nil, nil)
 	if err != nil {
 		t.Fatalf("snapshot query %q: %v", src, err)
 	}
@@ -120,21 +120,6 @@ func TestMVCCRetentionBound(t *testing.T) {
 	}
 	if st.RetainedBytes <= 0 {
 		t.Fatalf("retained-bytes estimate empty: %+v", st)
-	}
-}
-
-// TestMVCCSerialReadsMode: under Options.SerialReads every query takes
-// the locked path and no snapshot is ever published.
-func TestMVCCSerialReadsMode(t *testing.T) {
-	opts := DefaultOptions()
-	opts.SerialReads = true
-	e := NewEngineWithOptions(opts)
-	buildStockBase(t, e)
-	for i := 0; i < 3; i++ {
-		q(t, e, "?.euter.r(.stkCode=S, .clsPrice>200)")
-	}
-	if st := e.MVCCStats(); st.HeadPublished || st.LiveVersions != 0 || st.Freezes != 0 {
-		t.Fatalf("SerialReads engine published snapshots: %+v", st)
 	}
 }
 

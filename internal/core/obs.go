@@ -150,22 +150,12 @@ func (e *Engine) Metrics() *obs.Registry {
 // SetTracer attaches a span tracer (nil detaches). Traced operations
 // build hierarchical spans: queries get per-conjunct children, view
 // materializations per-round children, update requests a program call
-// tree. The published MVCC head is dropped because snapshot readers
-// consult the tracer captured at freeze time to decide whether they must
-// take the serialized (traceable) path.
-func (e *Engine) SetTracer(t *obs.Tracer) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.tracer = t
-	e.invalidateHead()
-}
+// tree. A traced query runs exactly as an untraced one (same plan, same
+// partitioning); only its probes are extra.
+func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer.Store(t) }
 
-// Tracer returns the attached tracer, possibly nil.
-func (e *Engine) Tracer() *obs.Tracer {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.tracer
-}
+// Tracer returns the attached tracer, possibly nil. It takes no lock.
+func (e *Engine) Tracer() *obs.Tracer { return e.tracer.Load() }
 
 // annotateOpID joins a span to the flight-recorder event that opened
 // the operation: when the caller's context carries a qlog op ID, the

@@ -31,8 +31,8 @@ import (
 // evaluation — either the live universe under e.mu or a frozen MVCC
 // snapshot, whose options and metrics are threaded in explicitly so the
 // evaluation matches what the snapshot captured. Per-conjunct analyze
-// probes are not parallel-safe, so traced/EXPLAIN ANALYZE queries always
-// evaluate sequentially.
+// probes are per worker and summed after the merge, so traced and
+// EXPLAIN ANALYZE queries partition exactly like untraced ones.
 
 // minPartition is the smallest scan worth splitting: below this the
 // goroutine fan-out costs more than the scan.
@@ -165,21 +165,24 @@ func splitChunks(elems []object.Object, n int) [][]object.Object {
 }
 
 // parallelEnumerate evaluates body against root with the first scanned
-// set partitioned across e.opts.Workers workers, returning each chunk's
+// set partitioned across opts.Workers workers, returning each chunk's
 // variable snapshots in chunk order (their concatenation is the exact
-// sequential enumeration order). ok is false when the body has no
-// partitionable scan or the target set is too small to split; the caller
-// then evaluates sequentially. On error, the reported error is the one
-// the earliest chunk raised — the same error sequential evaluation would
-// have hit first, since workers fail at the first failing element of
-// their own chunk.
-func (e *Engine) parallelEnumerate(ctx context.Context, body *ast.TupleExpr, root *object.Tuple, vars []string, stats *Stats, an *bodyAnalysis, opts Options, em *engineMetrics) ([][]Row, bool, error) {
-	workers := opts.Workers
+// sequential enumeration order). ok is false when fewer than two workers
+// are configured, the body has no partitionable scan, or the target set
+// is too small to split; the caller then evaluates sequentially. On
+// error, the reported error is the one the earliest chunk raised — the
+// same error sequential evaluation would have hit first, since workers
+// fail at the first failing element of their own chunk. probes, when
+// non-nil, receive the sum of every worker's own per-conjunct probes.
+func (e *Engine) parallelEnumerate(ctx context.Context, body *ast.TupleExpr, root *object.Tuple, vars []string, stats *Stats, an *bodyAnalysis, opts Options, em *engineMetrics, probes map[ast.Expr]*conjunctProbe) ([][]Row, bool, error) {
+	if opts.Workers < 2 {
+		return nil, false, nil
+	}
 	target := e.scanTarget(body, root, an, opts)
 	if target == nil || target.Len() < minPartition {
 		return nil, false, nil
 	}
-	chunks := splitChunks(target.Elems(), workers)
+	chunks := splitChunks(target.Elems(), opts.Workers)
 	if len(chunks) < 2 {
 		return nil, false, nil
 	}
@@ -190,6 +193,7 @@ func (e *Engine) parallelEnumerate(ctx context.Context, body *ast.TupleExpr, roo
 	rows := make([][]Row, len(chunks))
 	errs := make([]error, len(chunks))
 	chunkStats := make([]Stats, len(chunks))
+	chunkProbes := make([]map[ast.Expr]*conjunctProbe, len(chunks))
 	var wg sync.WaitGroup
 	for w, chunk := range chunks {
 		wg.Add(1)
@@ -214,6 +218,10 @@ func (e *Engine) parallelEnumerate(ctx context.Context, body *ast.TupleExpr, roo
 				ev.consumedCache = an.consumed
 				ev.ranks = an.ranks
 			}
+			if probes != nil {
+				chunkProbes[w] = newProbes(body.Conjuncts)
+				ev.analyze = &analyzeState{probes: chunkProbes[w]}
+			}
 			errs[w] = ev.satisfy(body, root, func() error {
 				rows[w] = append(rows[w], ev.env.Snapshot(vars))
 				return nil
@@ -223,6 +231,9 @@ func (e *Engine) parallelEnumerate(ctx context.Context, body *ast.TupleExpr, roo
 	wg.Wait()
 	for w := range chunkStats {
 		stats.add(chunkStats[w])
+		for c, p := range chunkProbes[w] {
+			probes[c].add(p)
+		}
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -281,7 +292,7 @@ func (e *Engine) evalRuleBodies(ctx context.Context, wave []*compiledRule, effec
 	if len(wave) == 1 {
 		rule := wave[0]
 		headVars := ast.Vars(rule.src.Head)
-		chunks, ok, err := e.parallelEnumerate(ctx, rule.src.Body, effective, headVars, stats, ans[0], e.opts, e.em)
+		chunks, ok, err := e.parallelEnumerate(ctx, rule.src.Body, effective, headVars, stats, ans[0], e.opts, e.em, nil)
 		if ok {
 			if err == nil {
 				dedupe := newAnswer(nil)
@@ -333,12 +344,8 @@ func (e *Engine) SetWorkers(n int) {
 		n = 0
 	}
 	e.opts.Workers = n
-	e.invalidateHead()
+	e.optionsChangedLocked()
 }
 
-// Workers returns the configured parallelism degree.
-func (e *Engine) Workers() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.opts.Workers
-}
+// Workers returns the configured parallelism degree. It takes no lock.
+func (e *Engine) Workers() int { return e.optsPub.Load().Workers }

@@ -179,16 +179,20 @@ func (e *Engine) validatePlan(pl *queryPlan, eff *object.Tuple) bool {
 }
 
 // planFor returns a plan for q, consulting the fingerprint-keyed cache
-// unless caching is disabled, plus the cache outcome ("hit", "stale",
-// "miss", "cold"). eff must be immutable for the duration of the call —
-// a frozen MVCC snapshot, or the live effective universe with e.mu held.
-// The cache itself is guarded by e.planMu, not e.mu, so lock-free
-// snapshot readers and the locked mutation path share one cache without
-// contending on the engine mutex.
-func (e *Engine) planFor(q *ast.Query, eff *object.Tuple, epoch uint64, opts Options, em *engineMetrics) (*queryPlan, string) {
+// unless caching is disabled, plus how it was obtained (cache outcome
+// "hit", "stale", "miss" or "cold", and the compile time when this call
+// compiled). eff must be immutable for the duration of the call — a
+// pinned MVCC snapshot. The cache itself is guarded by e.planMu, not
+// e.mu, so concurrent readers share one cache without contending on the
+// engine mutex.
+func (e *Engine) planFor(q *ast.Query, eff *object.Tuple, epoch uint64, opts Options, em *engineMetrics) (*queryPlan, *PlanInfo) {
 	key := planKey{fp: ast.Fingerprint(q), useIndex: opts.UseIndex}
+	compiled := func(state string) (*queryPlan, *PlanInfo) {
+		pl := e.compilePlan(q, eff, key, epoch, em)
+		return pl, &PlanInfo{Cache: state, CompileNS: pl.compileNS}
+	}
 	if opts.NoPlanCache {
-		return e.compilePlan(q, eff, key, epoch, em), "cold"
+		return compiled("cold")
 	}
 	e.planMu.Lock()
 	defer e.planMu.Unlock()
@@ -198,7 +202,7 @@ func (e *Engine) planFor(q *ast.Query, eff *object.Tuple, epoch uint64, opts Opt
 			if em != nil {
 				em.planCacheHit.Inc()
 			}
-			return pl, "hit"
+			return pl, &PlanInfo{Cache: "hit"}
 		}
 		if e.validatePlan(pl, eff) {
 			// Epoch moved but every dependency is unchanged: the change
@@ -212,7 +216,7 @@ func (e *Engine) planFor(q *ast.Query, eff *object.Tuple, epoch uint64, opts Opt
 			if em != nil {
 				em.planCacheHit.Inc()
 			}
-			return pl, "stale"
+			return pl, &PlanInfo{Cache: "stale"}
 		}
 		if epoch < pl.epoch {
 			// The cached plan is stamped for a newer universe than this
@@ -222,21 +226,21 @@ func (e *Engine) planFor(q *ast.Query, eff *object.Tuple, epoch uint64, opts Opt
 			if em != nil {
 				em.planCacheMiss.Inc()
 			}
-			return e.compilePlan(q, eff, key, epoch, em), "miss"
+			return compiled("miss")
 		}
 	}
 	e.planMisses++
 	if em != nil {
 		em.planCacheMiss.Inc()
 	}
-	pl := e.compilePlan(q, eff, key, epoch, em)
+	pl, info := compiled("miss")
 	if e.plans.put(key, pl) {
 		e.planEvictions++
 		if em != nil {
 			em.planCacheEvict.Inc()
 		}
 	}
-	return pl, "miss"
+	return pl, info
 }
 
 // firstRunnable mirrors the scheduler's first pick under the empty
@@ -416,6 +420,7 @@ func staticGroundEq(c ast.Expr) (string, bool) {
 // around revalidation, never during evaluation).
 type PreparedQuery struct {
 	e  *Engine
+	q  *ast.Query // the prepared AST; every plan of p executes it
 	mu sync.Mutex // guards pl: revalidation may restamp or replace it
 	pl *queryPlan
 }
@@ -433,7 +438,7 @@ func (e *Engine) Prepare(q *ast.Query) (*PreparedQuery, error) {
 		return nil, err
 	}
 	key := planKey{fp: ast.Fingerprint(q), useIndex: e.opts.UseIndex}
-	return &PreparedQuery{e: e, pl: e.compilePlan(q, eff, key, e.epoch, e.em)}, nil
+	return &PreparedQuery{e: e, q: q, pl: e.compilePlan(q, eff, key, e.epoch, e.em)}, nil
 }
 
 // Query executes the prepared plan against the current universe.
@@ -471,38 +476,12 @@ func (p *PreparedQuery) revalidate(eff *object.Tuple, epoch uint64, em *engineMe
 }
 
 // QueryCtx executes the prepared plan under a context. A stale plan
-// (catalog epoch moved and a dependency changed) is recompiled in place
-// first. Like Engine.QueryCtx, it pins the published head snapshot and
-// evaluates without the engine mutex when it can.
+// (catalog epoch moved and a dependency changed) is recompiled first.
+// Like Engine.QueryCtx, it pins a snapshot version and evaluates without
+// the engine mutex.
 func (p *PreparedQuery) QueryCtx(ctx context.Context) (*Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	e := p.e
-	if v := e.pinHead(); v != nil {
-		if v.opts.SerialReads || v.tracer != nil {
-			v.unpin()
-		} else {
-			defer v.unpin()
-			pl, info := p.revalidate(v.eff, v.epoch, v.em)
-			return e.runSnapshot(cancellable(ctx), ctx, pl.q, v, pl, info)
-		}
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cctx := cancellable(ctx)
-	rounds := e.fixpointRounds
-	eff, err := e.refreshEffective(cctx)
-	if err != nil {
-		return nil, err
-	}
-	if !e.opts.SerialReads {
-		e.publishHeadLocked()
-	}
-	pl, info := p.revalidate(eff, e.epoch, e.em)
-	ans, err := e.runPlanned(cctx, ctx, pl.q, pl, info)
-	if ans != nil {
-		ans.Resources.FixpointRounds = e.fixpointRounds - rounds
-	}
-	return ans, err
+	return p.e.read(ctx, p.q, p, nil)
 }

@@ -130,7 +130,7 @@ func (e *Engine) SetPlanCaching(on bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.opts.NoPlanCache = !on
-	e.invalidateHead()
+	e.optionsChangedLocked()
 }
 
 // Epoch returns the catalog epoch: a counter bumped on every change to

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"idl/internal/object"
-	"idl/internal/obs"
 )
 
 // MVCC universe versioning (DESIGN.md §17).
@@ -25,8 +24,9 @@ import (
 //     Call, UpdateBase, catalog DDL, rule registration, member-snapshot
 //     installs) runs under e.mu for its whole duration and invalidates
 //     the head (head = nil) the moment it changes anything. A reader that
-//     finds no head takes the slow path: it acquires e.mu, refreshes the
-//     effective universe, and freezes a fresh version — so a version can
+//     finds no head takes the slow path (Engine.acquire): it acquires
+//     e.mu, refreshes the effective universe, freezes and pins a fresh
+//     version, and evaluates after releasing e.mu — so a version can
 //     never capture a mutation in progress.
 //   - Every set reachable from any live version is recorded in
 //     e.published. Mutators copy-on-write published sets (cowSet /
@@ -67,12 +67,8 @@ type version struct {
 	// opts is the engine options at freeze time; the snapshot evaluates
 	// under them even if the engine's change later.
 	opts Options
-	// em and tracer are the observability hooks captured at freeze.
-	// Traced engines route queries through the locked path (per-conjunct
-	// probes are not concurrency-safe), so tracer here only gates that
-	// decision.
-	em     *engineMetrics
-	tracer *obs.Tracer
+	// em is the metrics hook captured at freeze.
+	em *engineMetrics
 	// pins counts in-flight readers; a version is collectable only at
 	// zero pins (and only when it is no longer the head).
 	pins atomic.Int64
@@ -109,12 +105,7 @@ func (e *Engine) publishHeadLocked() *version {
 	if v := e.head.Load(); v != nil {
 		return v
 	}
-	v := &version{
-		epoch:  e.epoch,
-		opts:   e.opts,
-		em:     e.em,
-		tracer: e.tracer,
-	}
+	v := &version{epoch: e.epoch, opts: e.opts, em: e.em}
 	v.eff = freezeTuple(e.effective, v)
 	e.versions = append(e.versions, v)
 	e.head.Store(v)

@@ -326,7 +326,7 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].firstLSN < segs[j].firstLSN })
 	stopped := false
-	for i, s := range segs {
+	for _, s := range segs {
 		path := filepath.Join(dir, s.name)
 		if stopped {
 			// Past a torn point: these records are unreachable; drop them
@@ -376,9 +376,12 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 				os.Truncate(path, int64(keepEnd))
 			}
 		}
-		if keepEnd <= segHeaderLen && len(recs) == 0 && i < len(segs)-1 {
-			// Header-only segment in the middle: a crash right after a
-			// rotation; nothing to keep.
+		if keepEnd <= segHeaderLen && len(recs) == 0 {
+			// Header-only segment: a crash right after a rotation, or a
+			// log closed before its first record; nothing to keep. A
+			// trailing one would be re-created below under the same name,
+			// so it must not be listed as sealed either — a checkpoint
+			// deletes sealed segments.
 			os.Remove(path)
 			continue
 		}
@@ -421,8 +424,14 @@ func parseSegment(data []byte, firstLSN uint64) (recs []Record, ends []int, head
 }
 
 // startSegment seals the active segment (if any) and opens a fresh one
-// whose first LSN is the log's next LSN.
+// whose first LSN is the log's next LSN. An active segment that holds no
+// record yet already is that fresh segment and is kept: re-creating it
+// would reuse its name, and a checkpoint's sealed-segment cleanup would
+// then unlink the live file.
 func (l *Log) startSegment() error {
+	if l.active != nil && l.activeSize == int64(segHeaderLen) {
+		return nil
+	}
 	if l.active != nil {
 		if err := l.syncLocked(); err != nil {
 			return err

@@ -262,6 +262,50 @@ func TestCheckpointAndTail(t *testing.T) {
 	}
 }
 
+// TestCheckpointOnFreshSegment takes a checkpoint when no record has
+// been appended since the active segment was created — on a new log,
+// and on a reopened log whose last segment holds only its header — and
+// checks that records appended afterwards survive a reopen.
+func TestCheckpointOnFreshSegment(t *testing.T) {
+	for _, reopen := range []bool{false, true} {
+		dir := t.TempDir()
+		l, _, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reopen {
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if l, _, err = Open(dir, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := l.Checkpoint(testUniverse(2), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(TypeExec, []byte("after")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, rec, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var execs []string
+		for _, r := range rec.Tail {
+			if r.Type == TypeExec {
+				execs = append(execs, string(r.Payload))
+			}
+		}
+		if len(execs) != 1 || execs[0] != "after" {
+			t.Fatalf("reopen=%v: recovered tail execs %q, want [after]", reopen, execs)
+		}
+	}
+}
+
 func TestCheckpointPrunesSegmentsAndOldCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, Options{SegmentBytes: 64, KeepCheckpoints: 1})

@@ -329,6 +329,41 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointOnFreshWAL checkpoints a freshly opened durable DB
+// before its first mutation; the mutations committed afterwards must
+// recover on reopen.
+func TestCheckpointOnFreshWAL(t *testing.T) {
+	dir := t.TempDir()
+	db, _, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Catalog().CreateDatabase("euter"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Catalog().CreateRelation("euter", "r"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("?.euter.r+(.date=3/5/85,.stkCode=hp,.clsPrice=61)"); err != nil {
+		t.Fatal(err)
+	}
+	want := stateDigest(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, report, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if got := stateDigest(t, db2); got != want {
+		t.Fatalf("mutation after a fresh-log checkpoint lost (%s):\n got %s\nwant %s", report, got, want)
+	}
+}
+
 // TestCheckpointRecovery verifies recovery from checkpoint + tail and
 // that crashes inside the checkpoint itself fall back cleanly.
 func TestCheckpointRecovery(t *testing.T) {

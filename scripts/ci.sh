@@ -19,13 +19,14 @@
 #      tax above 1.03× (DESIGN.md §14: rolling histograms and SLO
 #      trackers must cost ≤3% on a cheap query), a B17
 #      statement-digest tax above 1.03× (DESIGN.md §15: fingerprinting
-#      and digest accounting must cost ≤3% per query), a B18
-#      during-commit read scaling below 2.5× (DESIGN.md §17: snapshot
+#      and digest accounting must cost ≤3% per query), fewer than 3
+#      B18 reads completed during commits (DESIGN.md §17: snapshot
 #      readers must keep completing while a writer holds the commit
-#      path; measured in the thousands, serial readers complete ~0),
-#      or a B18 incremental-checkpoint ratio above 0.25 (a
-#      single-relation update must rewrite at most a quarter of the
-#      universe's checkpoint bytes; ~0.05 measured) fail the build;
+#      path; measured in the thousands, a reader blocked on the engine
+#      mutex completes ~0), or a B18 incremental-checkpoint ratio
+#      above 0.25 (a single-relation update must rewrite at most a
+#      quarter of the universe's checkpoint bytes; ~0.05 measured)
+#      fail the build;
 #   3. compare it against the committed BENCH_report.json — any
 #      benchmark more than 25% slower fails the build (the
 #      bench-regression gate; a failed compare re-measures once so a
@@ -101,7 +102,7 @@ kill -TERM "$IDLD_PID"
 wait "$IDLD_PID"
 
 go run ./cmd/idlbench -short -out BENCH_new.json
-go run ./cmd/idlbench -validate BENCH_new.json -max-trace-overhead 3.0 -max-flight-overhead 1.25 -min-parallel-speedup 1.5 -min-plan-cache-hit 0.95 -min-plan-speedup 1.15 -max-wal-overhead 1.15 -min-group-amortize 1.5 -max-telemetry-overhead 1.03 -max-insights-overhead 1.03 -min-read-scaling 2.5 -max-ckpt-ratio 0.25
+go run ./cmd/idlbench -validate BENCH_new.json -max-trace-overhead 3.0 -max-flight-overhead 1.25 -min-parallel-speedup 1.5 -min-plan-cache-hit 0.95 -min-plan-speedup 1.15 -max-wal-overhead 1.15 -min-group-amortize 1.5 -max-telemetry-overhead 1.03 -max-insights-overhead 1.03 -min-commit-reads 3 -max-ckpt-ratio 0.25
 # The regression gate, with one confirmation pass: sustained host
 # contention can inflate a whole snapshot run, so a failed compare
 # re-measures once and only fails when the regression reproduces. A

@@ -198,3 +198,55 @@ func TestTraceJournalCorrelation(t *testing.T) {
 		t.Errorf("journal record missing trace id %s:\n%s", tid, raw)
 	}
 }
+
+// TestTracedQueryRunsLikeUntraced: observing a query must not change
+// how it runs. At four workers, an untraced and a traced run of one
+// statement report the same plan-cache outcome and dispatch the same
+// number of scan partitions, and the traced run's per-conjunct span —
+// summed over the workers' probes — counts every answer row.
+func TestTracedQueryRunsLikeUntraced(t *testing.T) {
+	db := Open()
+	for i := 0; i < 64; i++ {
+		if _, err := db.Catalog().Insert("d", "r", Tup("k", i, "v", i%7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.SetWorkers(4)
+	reg := db.Metrics()
+	const src = "?.d.r(.k=K, .v>2)"
+	if _, err := db.Query(src); err != nil { // compile and cache the plan
+		t.Fatal(err)
+	}
+	run := func() (*Result, string, uint64) {
+		t.Helper()
+		before := reg.CounterValue("engine.eval.partitions")
+		res, err := db.Query(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := "<nil>"
+		if res.Plan != nil {
+			cache = res.Plan.Cache
+		}
+		return res, cache, reg.CounterValue("engine.eval.partitions") - before
+	}
+	_, cache, parts := run()
+	if cache != "hit" || parts != 4 {
+		t.Fatalf("untraced run: cache=%s partitions=%d, want hit/4", cache, parts)
+	}
+	db.EnableTracing(8)
+	res, tcache, tparts := run()
+	if tcache != cache || tparts != parts {
+		t.Fatalf("traced run: cache=%s partitions=%d, untraced cache=%s partitions=%d", tcache, tparts, cache, parts)
+	}
+	traces, err := db.Traces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(traces) != 1 || traces[0].Root.Name != "query" || len(traces[0].Root.Children) != 1 {
+		t.Fatalf("want one query trace with one conjunct span, got %+v", traces)
+	}
+	if got := attrInt(traces[0].Root.Children[0], "rows"); got != int64(res.Len()) {
+		t.Errorf("conjunct span rows=%d, answer rows=%d", got, res.Len())
+	}
+}
