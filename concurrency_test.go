@@ -435,3 +435,83 @@ func TestQueryDuringBlockedCommit(t *testing.T) {
 	}
 	<-committed
 }
+
+// blockingSource is a member whose relation listing blocks until
+// release closes — a member fetch stuck on a slow network. entered
+// closes when the first listing starts.
+type blockingSource struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (s *blockingSource) Name() string { return "slow" }
+
+func (s *blockingSource) Relations(ctx context.Context) ([]string, error) {
+	s.once.Do(func() { close(s.entered) })
+	select {
+	case <-s.release:
+		return nil, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+func (s *blockingSource) Scan(context.Context, string, func(Value) bool) error { return nil }
+
+func (s *blockingSource) Attributes(context.Context, string) ([]string, error) { return nil, nil }
+
+// TestHealthDuringBlockedSync: health, metrics and digest readers —
+// DB.Health (with its WAL section), DB.Metrics, DB.Statements,
+// DB.TopStatements and DB.StatementsDropped, which back /v1/health,
+// /debug/metrics and /debug/statements — answer while a member sync is
+// stuck mid-fetch.
+func TestHealthDuringBlockedSync(t *testing.T) {
+	db, _, err := OpenWAL(t.TempDir(), WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.EnableInsights(InsightsConfig{})
+	src := &blockingSource{entered: make(chan struct{}), release: make(chan struct{})}
+	if err := db.Mount("slow", src); err != nil {
+		t.Fatal(err)
+	}
+	synced := make(chan error, 1)
+	go func() {
+		_, err := db.Sync(context.Background())
+		synced <- err
+	}()
+	<-src.entered
+	done := make(chan error, 1)
+	go func() {
+		h, err := db.Health()
+		if err == nil && h.WAL == nil {
+			err = errors.New("health report has no WAL section")
+		}
+		if err == nil {
+			_, err = db.Statements()
+		}
+		if err == nil {
+			_, err = db.TopStatements(3, "calls")
+		}
+		db.StatementsDropped()
+		db.Metrics().Snapshot()
+		done <- err
+	}()
+	var blocked bool
+	select {
+	case err = <-done:
+	case <-time.After(2 * time.Second):
+		blocked = true
+	}
+	close(src.release)
+	if serr := <-synced; serr != nil {
+		t.Fatal(serr)
+	}
+	if blocked {
+		t.Fatal("health and digest readers blocked behind a member sync")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}

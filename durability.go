@@ -201,13 +201,13 @@ func openWALFS(dir string, opts WALOptions, fsys wal.FS) (*DB, *RecoveryReport, 
 	// Recovery done: attach the log and wire the commit hooks. From here
 	// every committed mutation appends.
 	db.wal = log
-	db.walDurability = opts.Durability
+	db.walDurability.Store(int32(opts.Durability))
 	// A registry may already exist — a Bootstrap that Mounts a member
 	// creates one — so wire the log in now; metricsLocked handles
 	// registries created after this point.
 	db.mu.Lock()
-	if db.metrics != nil {
-		log.SetMetrics(db.metrics)
+	if reg := db.metrics.Load(); reg != nil {
+		log.SetMetrics(reg)
 	}
 	db.mu.Unlock()
 	db.cat.SetMutationLogger(func(op, dbName, rel string, tuples []*object.Tuple) error {
@@ -370,9 +370,7 @@ func (db *DB) SetDurability(d Durability) error {
 	if db.wal == nil {
 		return fmt.Errorf("idl: no write-ahead log attached (open with OpenWAL)")
 	}
-	db.mu.Lock()
-	db.walDurability = d
-	db.mu.Unlock()
+	db.walDurability.Store(int32(d))
 	return db.wal.SetMode(d.walMode())
 }
 
@@ -458,12 +456,9 @@ func (db *DB) WALStatus() (WALStatus, bool) {
 		return WALStatus{}, false
 	}
 	st := db.wal.Status()
-	db.mu.Lock()
-	d := db.walDurability
-	db.mu.Unlock()
 	return WALStatus{
 		Dir:            st.Dir,
-		Durability:     d,
+		Durability:     Durability(db.walDurability.Load()),
 		NextLSN:        st.NextLSN,
 		Appended:       st.Appended,
 		Segments:       st.Segments,

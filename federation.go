@@ -3,13 +3,11 @@ package idl
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"idl/internal/ast"
 	"idl/internal/federation"
 	"idl/internal/parser"
 	"idl/internal/qlog"
-	"idl/internal/wal"
 )
 
 // Federated member databases. A DB can mount autonomous members behind
@@ -157,113 +155,35 @@ func (db *DB) queryParsed(ctx context.Context, q *ast.Query) (*Result, error) {
 }
 
 // runQueryOp wraps one read-only evaluation (ad hoc or prepared) with
-// the shared query machinery: the flight-recorder op, member sync under
-// the configured failure mode, degradation reporting, and answer/plan
-// annotations. The tracer, worker count and options are read without the engine
-// mutex, so a read does not wait for a commit in progress.
+// the shared query machinery: the statement record, member sync under
+// the configured failure mode, and degradation reporting. The tracer,
+// worker count and options are read without the engine mutex, so a
+// read does not wait for a commit in progress.
 func (db *DB) runQueryOp(ctx context.Context, q *ast.Query, eval func(context.Context) (*Result, error)) (*Result, error) {
-	ins := db.insightsRef()
-	ctx, op, tid := db.beginOp(ctx, qlog.KindQuery, ins)
-	var start time.Time
-	if ins != nil {
-		start = time.Now()
-	}
-	if op != nil {
-		op.SetText(q.String())
-		op.SetWorkers(db.engine.Workers())
-	}
+	ctx, rec := db.begin(ctx, qlog.KindQuery, q)
 	rep, err := db.syncSources(ctx, db.engine.Options().BestEffort)
+	var ans *Result
+	if err == nil {
+		if ans, err = eval(ctx); err == nil && rep != nil && rep.Degraded() {
+			rep.Skipped = skippedConjuncts(q, rep)
+			ans.Degraded = rep
+			db.metrics.Load().Counter("federation.degraded_answers").Inc()
+		}
+		rec.answer(ans, rep)
+	}
+	rec.end(err)
 	if err != nil {
-		op.End(err)
-		db.observeQuery(ins, q, start, tid, nil, nil, err)
 		return nil, err
 	}
-	ans, err := eval(ctx)
-	if err != nil {
-		op.End(err)
-		db.observeQuery(ins, q, start, tid, nil, rep, err)
-		return nil, err
-	}
-	if ans.Plan != nil {
-		op.SetPlanCache(ans.Plan.Cache)
-	}
-	if rep != nil && rep.Degraded() {
-		rep.Skipped = skippedConjuncts(q, rep)
-		ans.Degraded = rep
-		db.metricsRef().Counter("federation.degraded_answers").Inc()
-		op.SetDegraded(rep.String(), rep.Skipped)
-	}
-	if op != nil {
-		if op.Journaling() {
-			// The journal carries the full canonical answer so replay can
-			// byte-compare; the ring and log carry only the cardinality.
-			op.SetAnswer(ans.String(), ans.Len())
-		} else {
-			op.SetRows(ans.Len())
-		}
-		if op.Logging() {
-			if plan, perr := db.engine.ExplainQuery(q); perr == nil {
-				op.SetPlanDigest(plan.String())
-			}
-		}
-		op.End(nil)
-	}
-	// Observed after op.End, so the journal record exists and the root
-	// span is filed before any slow-query exemplar goes looking for them.
-	db.observeQuery(ins, q, start, tid, ans, rep, nil)
 	return ans, nil
 }
 
-// execParsed is the shared update path. Updates are all-or-nothing, so
-// the sync is always fail-fast regardless of Options.BestEffort: an
-// unreachable member aborts the request before any mutation.
+// execParsed is the shared update path (see commit).
 func (db *DB) execParsed(ctx context.Context, q *ast.Query) (*ExecInfo, error) {
-	ins := db.insightsRef()
-	ctx, op, tid := db.beginOp(ctx, qlog.KindExec, ins)
-	if op != nil {
-		op.SetText(q.String())
-		op.SetWorkers(db.engine.Workers())
-	}
-	var start time.Time
-	if ins != nil {
-		start = time.Now()
-	}
-	if _, err := db.syncSources(ctx, false); err != nil {
-		op.End(err)
-		if ins != nil {
-			db.observeExec(ins, ast.Fingerprint(q), "exec", q.String(), start, tid, nil, 0, err)
-		}
-		return nil, err
-	}
-	var info *ExecInfo
-	var err error
-	var walBytes int
-	if db.wal != nil {
-		// Commit protocol: apply, then append, under one lock so the log's
-		// record order is the apply order. A failed append poisons the log
-		// and surfaces here — the mutation is in memory but not durable,
-		// and no later mutation will be acknowledged either.
-		db.walCommit.Lock()
-		info, err = db.engine.ExecuteCtx(ctx, q)
-		if err == nil {
-			payload := []byte(q.String())
-			if err = db.walAppendTraced(ctx, wal.TypeExec, payload); err == nil {
-				walBytes = len(payload)
-			}
-		}
-		db.walCommit.Unlock()
-	} else {
-		info, err = db.engine.ExecuteCtx(ctx, q)
-	}
-	if info != nil {
-		sum, changes := execSummary(info)
-		op.SetExec(sum, changes)
-	}
-	op.End(err)
-	if ins != nil {
-		db.observeExec(ins, ast.Fingerprint(q), "exec", q.String(), start, tid, info, walBytes, err)
-	}
-	return info, err
+	ctx, rec := db.begin(ctx, qlog.KindExec, q)
+	return db.commit(ctx, &rec, func(ctx context.Context) (*ExecInfo, error) {
+		return db.engine.ExecuteCtx(ctx, q)
+	})
 }
 
 // skippedConjuncts lists the query's top-level conjuncts that reference
@@ -322,22 +242,12 @@ func (db *DB) LoadCtx(ctx context.Context, src string) ([]*ScriptResult, error) 
 	for _, st := range stmts {
 		switch s := st.(type) {
 		case *ast.Rule:
-			err := db.engine.AddRule(s)
-			db.rec.Emit(qlog.KindRule, s.String(), err)
-			if err == nil {
-				_, err = db.walAppend(wal.TypeRule, []byte(s.String()))
-			}
-			if err != nil {
+			if err := db.defineRule(s); err != nil {
 				return out, fmt.Errorf("idl: rule %q: %w", s.String(), err)
 			}
 			out = append(out, &ScriptResult{Statement: s.String(), Kind: "rule"})
 		case *ast.Clause:
-			err := db.engine.AddClause(s)
-			db.rec.Emit(qlog.KindClause, s.String(), err)
-			if err == nil {
-				_, err = db.walAppend(wal.TypeClause, []byte(s.String()))
-			}
-			if err != nil {
+			if err := db.defineClause(s); err != nil {
 				return out, fmt.Errorf("idl: clause %q: %w", s.String(), err)
 			}
 			out = append(out, &ScriptResult{Statement: s.String(), Kind: "clause"})

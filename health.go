@@ -155,7 +155,7 @@ var opWindows = []string{
 // health is a metrics product, and silently returning an empty report
 // would read as "healthy".
 func (db *DB) Health() (*HealthReport, error) {
-	reg := db.metricsRef()
+	reg := db.metrics.Load()
 	if reg == nil {
 		return nil, fmt.Errorf("idl: metrics are not enabled (call Metrics or mount a member)")
 	}
@@ -179,7 +179,7 @@ func (db *DB) Health() (*HealthReport, error) {
 		})
 	}
 	h.SLOs = reg.SLOStatuses()
-	if s := db.insightsRef(); s != nil {
+	if s := db.insights.Load(); s != nil {
 		// The three busiest shapes by call count: enough to name the
 		// workload's hot statements without flooding the report (the full
 		// table, including time/p99/rows orderings, lives behind
@@ -241,7 +241,7 @@ func (db *DB) Health() (*HealthReport, error) {
 // leave the respective parameter unchanged. It fails when metrics are
 // not enabled.
 func (db *DB) SetSLO(name string, target time.Duration, objective float64) error {
-	reg := db.metricsRef()
+	reg := db.metrics.Load()
 	if reg == nil {
 		return fmt.Errorf("idl: metrics are not enabled (call Metrics or mount a member)")
 	}

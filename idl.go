@@ -135,9 +135,11 @@ type DB struct {
 	schema *schema.Registry
 
 	// Observability (see obs.go): the registry is created lazily by
-	// Metrics (or the first Mount) and attached to engine and catalog;
-	// nil means metrics are off and instrumented paths cost one nil test.
-	metrics       *obs.Registry
+	// Metrics (or the first Mount) under mu and attached to engine and
+	// catalog; nil means metrics are off and instrumented paths cost one
+	// nil test. Readers load it without mu, so health and metrics
+	// readers never wait on a member sync.
+	metrics       atomic.Pointer[obs.Registry]
 	lastReport    *federation.Report
 	snapshotBytes int64 // size of the last snapshot saved or loaded
 
@@ -148,8 +150,9 @@ type DB struct {
 
 	// Query insights (see insights.go): per-statement digests keyed by
 	// AST fingerprint with adaptive slow-query capture; nil means
-	// insights are off and the hot path pays one nil test.
-	insights *insights.Store
+	// insights are off and the hot path pays one nil test. Lock-free
+	// like metrics.
+	insights atomic.Pointer[insights.Store]
 
 	// Durability (see durability.go): DBs opened with OpenWAL log every
 	// committed mutation here; nil means no WAL and commit hooks cost one
@@ -157,7 +160,7 @@ type DB struct {
 	// log's record order matches the engine's apply order.
 	wal           *wal.Log
 	walCommit     sync.Mutex
-	walDurability Durability
+	walDurability atomic.Int32 // a Durability
 
 	// Trace identity (see trace.go): traceBase is a per-process random
 	// base XORed with a golden-ratio-stepped sequence, so trace IDs are
@@ -221,22 +224,23 @@ func OpenSnapshot(path string) (*DB, error) {
 func (db *DB) Save(path string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	reg := db.metrics.Load()
 	var start time.Time
-	if db.metrics != nil {
+	if reg != nil {
 		start = time.Now()
 	}
 	size, err := storage.SaveFileSized(path, db.engine.Base())
 	if err == nil {
 		db.snapshotBytes = size
 	}
-	if db.metrics != nil {
-		db.metrics.Counter("storage.save.count").Inc()
+	if reg != nil {
+		reg.Counter("storage.save.count").Inc()
 		if err != nil {
-			db.metrics.Counter("storage.save.errors").Inc()
+			reg.Counter("storage.save.errors").Inc()
 		} else {
-			db.metrics.Gauge("storage.snapshot_bytes").Set(size)
+			reg.Gauge("storage.snapshot_bytes").Set(size)
 		}
-		db.metrics.Histogram("storage.save.latency").Observe(time.Since(start))
+		reg.Histogram("storage.save.latency").Observe(time.Since(start))
 	}
 	return err
 }
@@ -270,10 +274,17 @@ func (db *DB) DefineView(src string) error {
 	if err != nil {
 		return err
 	}
-	err = db.engine.AddRule(r)
-	db.rec.Emit(qlog.KindRule, r.String(), err)
+	return db.defineRule(r)
+}
+
+// defineRule registers one parsed view rule: the engine first, then the
+// flight recorder, then — only when it registered — the WAL.
+func (db *DB) defineRule(r *ast.Rule) error {
+	text := r.String()
+	err := db.engine.AddRule(r)
+	db.rec.Emit(qlog.KindRule, text, err)
 	if err == nil {
-		_, err = db.walAppend(wal.TypeRule, []byte(r.String()))
+		_, err = db.walAppend(wal.TypeRule, []byte(text))
 	}
 	return err
 }
@@ -296,10 +307,17 @@ func (db *DB) DefineProgram(src string) error {
 	if err != nil {
 		return err
 	}
-	err = db.engine.AddClause(c)
-	db.rec.Emit(qlog.KindClause, c.String(), err)
+	return db.defineClause(c)
+}
+
+// defineClause registers one parsed update-program clause, in the same
+// order as defineRule.
+func (db *DB) defineClause(c *ast.Clause) error {
+	text := c.String()
+	err := db.engine.AddClause(c)
+	db.rec.Emit(qlog.KindClause, text, err)
 	if err == nil {
-		_, err = db.walAppend(wal.TypeClause, []byte(c.String()))
+		_, err = db.walAppend(wal.TypeClause, []byte(text))
 	}
 	return err
 }
@@ -346,51 +364,20 @@ func (db *DB) CallCtx(ctx context.Context, namespace, name string, params map[st
 			return nil, fmt.Errorf("idl: unsupported parameter type %T for %s", v, k)
 		}
 	}
-	ins := db.insightsRef()
-	ctx, op, tid := db.beginOp(ctx, qlog.KindCall, ins)
-	var text string
-	if op != nil || db.wal != nil || ins != nil {
+	ctx, rec := db.begin(ctx, qlog.KindCall, nil)
+	if rec.op != nil || rec.ins != nil || db.wal != nil {
 		var attrs map[string]string
 		if p, ok := db.engine.LookupProgram(namespace, name); ok {
 			attrs = p.ParamAttrs()
 		}
 		// The IDL rendering serves both the journal and the WAL: a logged
 		// call replays as an ordinary update request.
-		text = callText(namespace, name, converted, attrs)
-		op.SetText(text)
-	}
-	var start time.Time
-	if ins != nil {
-		start = time.Now()
+		rec.setCall(namespace, name, callText(namespace, name, converted, attrs))
 	}
 	// Programs run updates; member sync is fail-fast like Exec.
-	if _, err := db.syncSources(ctx, false); err != nil {
-		op.End(err)
-		db.observeExec(ins, callFingerprint(namespace, name), "call", text, start, tid, nil, 0, err)
-		return nil, err
-	}
-	var info *ExecInfo
-	var err error
-	var walBytes int
-	if db.wal != nil {
-		db.walCommit.Lock()
-		info, err = db.engine.CallCtx(ctx, namespace, name, converted)
-		if err == nil {
-			if err = db.walAppendTraced(ctx, wal.TypeExec, []byte(text)); err == nil {
-				walBytes = len(text)
-			}
-		}
-		db.walCommit.Unlock()
-	} else {
-		info, err = db.engine.CallCtx(ctx, namespace, name, converted)
-	}
-	if info != nil {
-		sum, changes := execSummary(info)
-		op.SetExec(sum, changes)
-	}
-	op.End(err)
-	db.observeExec(ins, callFingerprint(namespace, name), "call", text, start, tid, info, walBytes, err)
-	return info, err
+	return db.commit(ctx, &rec, func(ctx context.Context) (*ExecInfo, error) {
+		return db.engine.CallCtx(ctx, namespace, name, converted)
+	})
 }
 
 // callText renders a program invocation in IDL surface syntax —

@@ -106,6 +106,30 @@ func TestProgramsAndCall(t *testing.T) {
 	}
 }
 
+// TestCallUnknownProgramIsNoWrite: a call to an unregistered program
+// fails before the engine's write path, so it neither advances the
+// catalog epoch nor drops the published MVCC head.
+func TestCallUnknownProgramIsNoWrite(t *testing.T) {
+	db := Open()
+	seedStocks(t, db)
+	if _, err := db.Query("?.euter.r(.stkCode=S)"); err != nil { // publishes the head
+		t.Fatal(err)
+	}
+	epoch, head := db.CatalogEpoch(), db.MVCCStats().HeadPublished
+	if !head {
+		t.Fatal("query did not publish a snapshot head")
+	}
+	if _, err := db.Call("dbU", "nope", map[string]any{"S": "hp"}); err == nil {
+		t.Fatal("unknown program call should fail")
+	}
+	if got := db.CatalogEpoch(); got != epoch {
+		t.Errorf("catalog epoch %d -> %d after an unknown-program call", epoch, got)
+	}
+	if !db.MVCCStats().HeadPublished {
+		t.Error("unknown-program call dropped the published MVCC head")
+	}
+}
+
 func TestLoadScript(t *testing.T) {
 	db := Open()
 	seedStocks(t, db)

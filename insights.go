@@ -3,11 +3,8 @@ package idl
 import (
 	"fmt"
 	"hash/fnv"
-	"time"
 
-	"idl/internal/ast"
 	"idl/internal/core"
-	"idl/internal/federation"
 	"idl/internal/insights"
 	"idl/internal/qlog"
 )
@@ -47,35 +44,21 @@ const exemplarEventTail = 8
 func (db *DB) EnableInsights(cfg InsightsConfig) {
 	s := insights.New(cfg)
 	s.SetCaptureSource(db.captureContext)
-	db.mu.Lock()
-	db.insights = s
-	db.mu.Unlock()
+	db.insights.Store(s)
 }
 
 // DisableInsights detaches the store; instrumented paths return to one
 // nil test of overhead. Accumulated digests are discarded.
-func (db *DB) DisableInsights() {
-	db.mu.Lock()
-	db.insights = nil
-	db.mu.Unlock()
-}
+func (db *DB) DisableInsights() { db.insights.Store(nil) }
 
 // InsightsEnabled reports whether a digest store is attached.
-func (db *DB) InsightsEnabled() bool { return db.insightsRef() != nil }
-
-// insightsRef returns the attached store without creating one (nil when
-// insights are off).
-func (db *DB) insightsRef() *insights.Store {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.insights
-}
+func (db *DB) InsightsEnabled() bool { return db.insights.Load() != nil }
 
 // Statements returns every tracked statement digest, ordered by
 // descending total evaluation time. It fails when insights are not
 // enabled (call EnableInsights), mirroring Traces.
 func (db *DB) Statements() ([]StatementDigest, error) {
-	s := db.insightsRef()
+	s := db.insights.Load()
 	if s == nil {
 		return nil, fmt.Errorf("idl: insights are not enabled (call EnableInsights)")
 	}
@@ -86,7 +69,7 @@ func (db *DB) Statements() ([]StatementDigest, error) {
 // "p99", "rows" (rows scanned), or "time" (total evaluation time);
 // k <= 0 returns all.
 func (db *DB) TopStatements(k int, by string) ([]StatementDigest, error) {
-	s := db.insightsRef()
+	s := db.insights.Load()
 	if s == nil {
 		return nil, fmt.Errorf("idl: insights are not enabled (call EnableInsights)")
 	}
@@ -96,7 +79,7 @@ func (db *DB) TopStatements(k int, by string) ([]StatementDigest, error) {
 // Statement looks up one digest by its 16-hex fingerprint, returning
 // the digest and its captured slow-query exemplars (oldest first).
 func (db *DB) Statement(fingerprint string) (StatementDigest, []StatementExemplar, error) {
-	s := db.insightsRef()
+	s := db.insights.Load()
 	if s == nil {
 		return StatementDigest{}, nil, fmt.Errorf("idl: insights are not enabled (call EnableInsights)")
 	}
@@ -114,7 +97,7 @@ func (db *DB) Statement(fingerprint string) (StatementDigest, []StatementExempla
 // StatementsDropped reports observations of new statement shapes the
 // MaxDigests bound discarded (0 when insights are off).
 func (db *DB) StatementsDropped() uint64 {
-	if s := db.insightsRef(); s != nil {
+	if s := db.insights.Load(); s != nil {
 		return s.Dropped()
 	}
 	return 0
@@ -123,7 +106,7 @@ func (db *DB) StatementsDropped() uint64 {
 // ResetStatements drops every digest and exemplar, keeping the store
 // attached. A no-op when insights were never enabled.
 func (db *DB) ResetStatements() {
-	if s := db.insightsRef(); s != nil {
+	if s := db.insights.Load(); s != nil {
 		s.Reset()
 	}
 }
@@ -149,8 +132,8 @@ func (db *DB) captureContext(traceID string) (*QuerySpan, []*qlog.Event) {
 	return root, events
 }
 
-// insightsResources widens the evaluator's resource record; the facade
-// layers federation fetches and WAL bytes on top at the call sites.
+// insightsResources widens the evaluator's resource record; the
+// statement record layers federation fetches and WAL bytes on top.
 func insightsResources(r core.Resources) insights.Resources {
 	return insights.Resources{
 		RowsScanned:    r.RowsScanned,
@@ -159,58 +142,6 @@ func insightsResources(r core.Resources) insights.Resources {
 		IndexBuilds:    r.IndexBuilds,
 		IndexProbes:    r.IndexProbes,
 	}
-}
-
-// observeQuery folds one finished read-only evaluation into the store.
-// Called after op.End, so the journal record exists and the root span
-// is filed — the exemplar's trace ID joins both.
-func (db *DB) observeQuery(s *insights.Store, q *ast.Query, start time.Time, tid string, ans *Result, rep *federation.Report, err error) {
-	if s == nil {
-		return
-	}
-	o := insights.Observation{
-		Fingerprint: ast.Fingerprint(q),
-		Kind:        "query",
-		Text:        q.String,
-		Duration:    time.Since(start),
-		Err:         err != nil,
-		TraceID:     tid,
-	}
-	if ans != nil {
-		o.Resources = insightsResources(ans.Resources)
-		o.Degraded = ans.Degraded != nil
-		if ans.Plan != nil {
-			o.PlanCache = ans.Plan.Cache
-		}
-	}
-	if rep != nil {
-		o.Resources.FedFetches = uint64(len(rep.Sources))
-	}
-	s.Observe(o)
-}
-
-// observeExec folds one finished update request or program call into
-// the store. walBytes is the payload length appended to the WAL (0
-// when no WAL is attached or the commit failed before the append).
-func (db *DB) observeExec(s *insights.Store, fp uint64, kind, text string, start time.Time, tid string, info *ExecInfo, walBytes int, err error) {
-	if s == nil {
-		return
-	}
-	o := insights.Observation{
-		Fingerprint: fp,
-		Kind:        kind,
-		Text:        func() string { return text },
-		Duration:    time.Since(start),
-		Err:         err != nil,
-		TraceID:     tid,
-	}
-	if info != nil {
-		o.Resources = insightsResources(info.Resources)
-	}
-	if walBytes > 0 {
-		o.Resources.WALBytes = uint64(walBytes)
-	}
-	s.Observe(o)
 }
 
 // callFingerprint identifies a program call by its target: calls have

@@ -159,74 +159,98 @@ func TestCallDigestPerProgram(t *testing.T) {
 }
 
 // TestSlowQueryExemplarJoinsJournal is the acceptance correlation: a
-// query crossing the slow threshold captures an exemplar whose trace ID
-// matches (a) the retained span tree and (b) the workload journal's
-// record for that query.
+// statement crossing the slow threshold — a query, an update request or
+// a program call — captures an exemplar whose trace ID matches (a) the
+// retained span tree and (b) the workload journal's record for that
+// statement.
 func TestSlowQueryExemplarJoinsJournal(t *testing.T) {
-	db := Open()
-	seedStocks(t, db)
-	path := filepath.Join(t.TempDir(), "w.idlog")
-	if err := db.StartJournal(path, nil); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		kind, text string
+		run        func(*DB) error
+	}{
+		{EventQuery, "?.euter.r(.stkCode=S, .clsPrice=62)", func(db *DB) error {
+			_, err := db.Query("?.euter.r(.stkCode=S, .clsPrice=62)")
+			return err
+		}},
+		{EventExec, "?.euter.r-(.stkCode=hp, .clsPrice=62)", func(db *DB) error {
+			_, err := db.Exec("?.euter.r-(.stkCode=hp, .clsPrice=62)")
+			return err
+		}},
+		{EventCall, "?.dbU.delStk(.stk=sun)", func(db *DB) error {
+			_, err := db.Call("dbU", "delStk", map[string]any{"S": "sun"})
+			return err
+		}},
 	}
-	db.EnableTracing(8)
-	// 1ns absolute threshold: every observation is "slow".
-	db.EnableInsights(InsightsConfig{SlowThreshold: time.Nanosecond})
-
-	const q = "?.euter.r(.stkCode=S, .clsPrice=62)"
-	if _, err := db.Query(q); err != nil {
-		t.Fatal(err)
-	}
-
-	digests, err := db.Statements()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(digests) != 1 {
-		t.Fatalf("digests = %+v", digests)
-	}
-	_, exemplars, err := db.Statement(digests[0].Fingerprint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exemplars) != 1 {
-		t.Fatalf("exemplars = %+v", exemplars)
-	}
-	ex := exemplars[0]
-	if ex.TraceID == "" || ex.DurationNS <= 0 {
-		t.Fatalf("exemplar: %+v", ex)
-	}
-	// (a) The captured span tree is this query's: its root carries the
-	// same facade-minted trace ID.
-	if ex.Trace == nil {
-		t.Fatal("exemplar captured no span tree despite tracing on")
-	}
-	if got := attrStr(ex.Trace, "trace"); got != ex.TraceID {
-		t.Fatalf("span trace = %q, exemplar trace = %q", got, ex.TraceID)
-	}
-	if len(ex.Events) == 0 {
-		t.Fatal("exemplar carries no flight-recorder excerpt")
-	}
-
-	// (b) The journal record for the query carries the same trace ID.
-	if err := db.CloseJournal(); err != nil {
-		t.Fatal(err)
-	}
-	_, recs, err := ReadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, r := range recs {
-		if r.TraceID == ex.TraceID {
-			if r.Kind != EventQuery || r.Text != q {
-				t.Fatalf("journal record for trace %s = %+v", ex.TraceID, r)
+	for _, tc := range cases {
+		t.Run(tc.kind, func(t *testing.T) {
+			db := Open()
+			seedStocks(t, db)
+			if err := db.DefinePrograms(".dbU.delStk(.stk=S) -> .euter.r-(.stkCode=S)"); err != nil {
+				t.Fatal(err)
 			}
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no journal record with trace %s in %+v", ex.TraceID, recs)
+			path := filepath.Join(t.TempDir(), "w.idlog")
+			if err := db.StartJournal(path, nil); err != nil {
+				t.Fatal(err)
+			}
+			db.EnableTracing(8)
+			// 1ns absolute threshold: every observation is "slow".
+			db.EnableInsights(InsightsConfig{SlowThreshold: time.Nanosecond})
+			if err := tc.run(db); err != nil {
+				t.Fatal(err)
+			}
+
+			digests, err := db.Statements()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(digests) != 1 || digests[0].Kind != tc.kind {
+				t.Fatalf("digests = %+v", digests)
+			}
+			_, exemplars, err := db.Statement(digests[0].Fingerprint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(exemplars) != 1 {
+				t.Fatalf("exemplars = %+v", exemplars)
+			}
+			ex := exemplars[0]
+			if ex.TraceID == "" || ex.DurationNS <= 0 {
+				t.Fatalf("exemplar: %+v", ex)
+			}
+			// (a) The captured span tree is this statement's: its root
+			// carries the same facade-minted trace ID.
+			if ex.Trace == nil {
+				t.Fatal("exemplar captured no span tree despite tracing on")
+			}
+			if got := attrStr(ex.Trace, "trace"); got != ex.TraceID {
+				t.Fatalf("span trace = %q, exemplar trace = %q", got, ex.TraceID)
+			}
+			if len(ex.Events) == 0 {
+				t.Fatal("exemplar carries no flight-recorder excerpt")
+			}
+
+			// (b) The journal record for the statement carries the same
+			// trace ID.
+			if err := db.CloseJournal(); err != nil {
+				t.Fatal(err)
+			}
+			_, recs, err := ReadJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := false
+			for _, r := range recs {
+				if r.TraceID == ex.TraceID {
+					if r.Kind != tc.kind || r.Text != tc.text {
+						t.Fatalf("journal record for trace %s = %+v", ex.TraceID, r)
+					}
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("no journal record with trace %s in %+v", ex.TraceID, recs)
+			}
+		})
 	}
 }
 

@@ -638,18 +638,28 @@ func (e *Engine) Execute(q *ast.Query) (*ExecResult, error) {
 // request and rolls back every mutation already applied — the request
 // stays atomic.
 func (e *Engine) ExecuteCtx(ctx context.Context, q *ast.Query) (*ExecResult, error) {
+	return e.write(ctx, "exec", func(u *updater) error {
+		return e.execBody(q.Body, u, map[string]object.Object{}, map[*compiledClause]bool{})
+	})
+}
+
+// write is the one mutation path of update requests and program calls:
+// under the engine mutex, apply mutates the base through a fresh
+// updater, the integrity validator checks the result, and any error
+// rolls every mutation back. name ("exec" or "call") is the root span's
+// name and selects the operation's instruments.
+func (e *Engine) write(ctx context.Context, name string, apply func(*updater) error) (*ExecResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	tracer := e.tracer.Load()
-	obsOn := e.em != nil || tracer != nil
 	var start time.Time
 	var span *obs.Span
-	if obsOn {
+	if e.em != nil || tracer != nil {
 		start = time.Now()
-		span = tracer.Start("exec")
+		span = tracer.Start(name)
 		annotateOpID(span, ctx)
 	}
 	var local Stats
@@ -661,20 +671,18 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q *ast.Query) (*ExecResult, err
 		span:   span,
 	}
 	u.cow = e.cowSetUndo(u)
-	err := e.execBody(q.Body, u, map[string]object.Object{}, map[*compiledClause]bool{})
+	err := apply(u)
 	if err == nil {
 		err = e.validate(u)
 	}
 	e.addStats(local)
-	if obsOn {
-		if e.em != nil {
-			e.em.record(&e.em.exec, start, local, err)
-		}
-		if span != nil {
-			span.SetInt("bindings", int64(u.result.Bindings))
-			span.SetInt("changes", int64(u.result.total()))
-			span.End()
-		}
+	if e.em != nil {
+		e.em.record(e.em.op(name), start, local, err)
+	}
+	if span != nil {
+		span.SetInt("bindings", int64(u.result.Bindings))
+		span.SetInt("changes", int64(u.result.total()))
+		span.End()
 	}
 	if err != nil {
 		u.undo.rollback()
@@ -709,59 +717,16 @@ func (e *Engine) Call(db, name string, params map[string]object.Object) (*ExecRe
 }
 
 // CallCtx is Call under a context; cancellation aborts and rolls back.
+// An unknown program fails before the write path, so it records no
+// operation and leaves the catalog epoch and MVCC head alone.
 func (e *Engine) CallCtx(ctx context.Context, db, name string, params map[string]object.Object) (*ExecResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	p, ok := e.regs.lookup(db, name)
+	p, ok := e.LookupProgram(db, name)
 	if !ok {
 		return nil, fmt.Errorf("core: no update program %s.%s", db, name)
 	}
-	tracer := e.tracer.Load()
-	obsOn := e.em != nil || tracer != nil
-	var start time.Time
-	var span *obs.Span
-	if obsOn {
-		start = time.Now()
-		span = tracer.Start("call")
-		annotateOpID(span, ctx)
-	}
-	var local Stats
-	rounds := e.fixpointRounds
-	u := &updater{
-		ev:     &evaluator{env: NewEnv(), indexes: e.indexes, useIndex: e.opts.UseIndex, noSchedule: e.opts.NoSchedule, stats: &local, ctx: cancellable(ctx)},
-		undo:   &undoLog{},
-		result: &ExecResult{},
-		span:   span,
-	}
-	u.cow = e.cowSetUndo(u)
-	err := e.invokeProgramDirect(p, params, u, map[*compiledClause]bool{})
-	if err == nil {
-		err = e.validate(u)
-	}
-	e.addStats(local)
-	if obsOn {
-		if e.em != nil {
-			e.em.record(&e.em.call, start, local, err)
-		}
-		if span != nil {
-			span.SetInt("changes", int64(u.result.total()))
-			span.End()
-		}
-	}
-	if err != nil {
-		u.undo.rollback()
-		e.markDirty(false)
-		return nil, err
-	}
-	if u.result.Changed() {
-		e.markDirty(monotoneResult(u.result))
-	}
-	u.result.Resources = resourcesFrom(local, u.result.Bindings)
-	u.result.Resources.FixpointRounds = e.fixpointRounds - rounds
-	return u.result, nil
+	return e.write(ctx, "call", func(u *updater) error {
+		return e.invokeProgram(p, params, u, map[*compiledClause]bool{})
+	})
 }
 
 // EffectiveUniverse returns the merged base+derived universe,
@@ -1026,10 +991,6 @@ func constStrName(t ast.Term) (string, bool) {
 // given parameter bindings — re-matching each clause's own parameter
 // declaration (clauses may declare different subsets).
 func (e *Engine) invokeProgram(p *Program, bound map[string]object.Object, u *updater, active map[*compiledClause]bool) error {
-	return e.invokeProgramDirect(p, bound, u, active)
-}
-
-func (e *Engine) invokeProgramDirect(p *Program, bound map[string]object.Object, u *updater, active map[*compiledClause]bool) error {
 	for _, cc := range p.Clauses {
 		if active[cc] {
 			return fmt.Errorf("core: recursive invocation of update program %s.%s", p.DB, p.Name)

@@ -107,6 +107,15 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 	}
 }
 
+// op returns the instruments of a mutating operation ("exec" or
+// "call").
+func (em *engineMetrics) op(name string) *opMetrics {
+	if name == "call" {
+		return &em.call
+	}
+	return &em.exec
+}
+
 // record publishes one finished operation.
 func (em *engineMetrics) record(om *opMetrics, start time.Time, local Stats, err error) {
 	om.count.Inc()

@@ -229,6 +229,14 @@ func (op *Op) Seq() uint64 {
 	return op.ev.Seq
 }
 
+// Start returns when the operation began (zero for a nil op).
+func (op *Op) Start() time.Time {
+	if op == nil {
+		return time.Time{}
+	}
+	return op.start
+}
+
 // Context tags ctx with this operation's ID (and trace ID, when one was
 // minted) so downstream span trees can be joined back to the event
 // ("qid" / "trace" annotations).

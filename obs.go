@@ -40,47 +40,44 @@ type (
 // and attaching it to the engine, the federation catalog, and storage
 // operations. Subsequent calls return the same registry.
 func (db *DB) Metrics() *MetricsRegistry {
+	if reg := db.metrics.Load(); reg != nil {
+		return reg
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.metricsLocked()
 }
 
 // metricsLocked lazily creates and wires the registry; callers hold
-// db.mu.
+// db.mu. The registry is published only once wired.
 func (db *DB) metricsLocked() *obs.Registry {
-	if db.metrics == nil {
-		db.metrics = obs.NewRegistry()
-		db.engine.SetMetrics(db.metrics)
-		db.cat.SetMetrics(db.metrics)
-		if db.wal != nil {
-			db.wal.SetMetrics(db.metrics)
-		}
-		if db.snapshotBytes > 0 {
-			db.metrics.Gauge("storage.snapshot_bytes").Set(db.snapshotBytes)
-		}
+	if reg := db.metrics.Load(); reg != nil {
+		return reg
 	}
-	return db.metrics
-}
-
-// metricsRef returns the registry without creating one (nil when
-// metrics are off; all registry methods are nil-safe no-ops).
-func (db *DB) metricsRef() *obs.Registry {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.metrics
+	reg := obs.NewRegistry()
+	db.engine.SetMetrics(reg)
+	db.cat.SetMetrics(reg)
+	if db.wal != nil {
+		db.wal.SetMetrics(reg)
+	}
+	if db.snapshotBytes > 0 {
+		reg.Gauge("storage.snapshot_bytes").Set(db.snapshotBytes)
+	}
+	db.metrics.Store(reg)
+	return reg
 }
 
 // MetricsEnabled reports whether a metrics registry is attached,
 // without attaching one (unlike Metrics, which lazily creates it).
 func (db *DB) MetricsEnabled() bool {
-	return db.metricsRef() != nil
+	return db.metrics.Load() != nil
 }
 
 // ResetMetrics zeroes every counter, gauge, and histogram (the
 // instruments stay registered, so cached references remain valid). A
 // no-op when metrics were never enabled.
 func (db *DB) ResetMetrics() {
-	db.metricsRef().Reset()
+	db.metrics.Load().Reset()
 }
 
 // EnableTracing attaches a span tracer retaining the last capacity root
@@ -90,7 +87,7 @@ func (db *DB) ResetMetrics() {
 // metrics are on, retention evictions count under "traces.dropped".
 func (db *DB) EnableTracing(capacity int) *QueryTracer {
 	t := obs.NewTracer(capacity)
-	if reg := db.metricsRef(); reg != nil {
+	if reg := db.metrics.Load(); reg != nil {
 		t.SetDropCounter(reg.Counter("traces.dropped"))
 	}
 	db.engine.SetTracer(t)

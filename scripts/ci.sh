@@ -1,10 +1,11 @@
 #!/bin/sh
 # Full CI gate: formatting, compile, vet, the whole test suite (chaos,
 # concurrency and cancellation tests included) under the race detector
-# with shuffled test order, a coverage floor on the engine, fuzz smoke
-# on the parser and the parallel evaluator, a served-path smoke (idld
-# on an ephemeral port: wire replay check, open-loop SLO gates,
-# graceful-drain exit 0), then the benchmark pipeline:
+# with shuffled test order, the end-to-end benchmark's smoke tests, a
+# coverage floor on the engine, fuzz smoke on the parser and the
+# parallel evaluator, a served-path smoke (idld on an ephemeral port:
+# wire replay check, open-loop SLO gates, graceful-drain exit 0), then
+# the benchmark pipeline:
 #
 #   1. regenerate the snapshot in short mode to BENCH_new.json;
 #   2. validate it — malformed reports, unmeasured benchmarks,
@@ -42,6 +43,13 @@ test -z "$(gofmt -l .)"
 go build ./...
 go vet ./...
 go test -race -shuffle=on ./...
+
+# The end-to-end benchmark is a module of its own (e2ebench/go.mod
+# replaces idl with this checkout), so ./... above does not reach it.
+# Its smoke drives every facade statement form — queries, update
+# requests, program calls — through idld, and checks that writes
+# survive a checkpoint.
+(cd e2ebench && go test ./...)
 
 # Coverage floor on the engine package: the planner and plan-cache layer
 # raised the floor from its 77.8% seed to 80.0% (81.3% measured when the

@@ -9,7 +9,6 @@ import (
 	"io"
 	"time"
 
-	"idl/internal/insights"
 	"idl/internal/obs"
 	"idl/internal/qlog"
 )
@@ -55,31 +54,6 @@ func (db *DB) traceIDFor(ctx context.Context) string {
 		return tid
 	}
 	return db.nextTraceID()
-}
-
-// beginOp opens one statement's flight-recorder op (nil when the
-// recorder has no sink) and mints its trace ID when anything will
-// consume one: the ID joins the statement's event, journal record, span
-// tree, member fetches, WAL commits and slow-query exemplars across
-// layers. A ctx already carrying an ID (the wire server's X-Trace-Id
-// adoption) keeps it. The returned ctx carries the IDs downstream.
-func (db *DB) beginOp(ctx context.Context, kind string, ins *insights.Store) (context.Context, *qlog.Op, string) {
-	op := db.rec.Begin(kind)
-	tracer := db.engine.Tracer()
-	if op == nil && tracer == nil && (ins == nil || !ins.CaptureEnabled()) {
-		return ctx, nil, ""
-	}
-	tid := db.traceIDFor(ctx)
-	op.SetTraceID(tid)
-	if op == nil {
-		ctx = qlog.WithTraceID(ctx, tid)
-	} else if tracer != nil {
-		// Tag the context with the op ID only when a tracer will consume
-		// it: the tag upgrades a Background context into a value-carrying
-		// one, which the evaluator then polls.
-		ctx = op.Context(ctx)
-	}
-	return ctx, op, tid
 }
 
 // TraceRecord is one exported operation trace: the facade-minted trace
