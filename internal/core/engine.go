@@ -787,6 +787,8 @@ func (e *Engine) refreshEffective(ctx context.Context) (*object.Tuple, error) {
 		span.SetInt("iterations", int64(stats.Iterations))
 		span.SetInt("rule_runs", int64(stats.RuleRuns))
 		span.SetInt("facts_derived", int64(stats.FactsDerived))
+		span.SetInt("decrees", int64(stats.Decrees))
+		span.SetInt("host_probes", int64(stats.HostProbes))
 		if stats.Incremental {
 			span.SetStr("mode", "incremental")
 		}

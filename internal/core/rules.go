@@ -297,6 +297,8 @@ type RecomputeStats struct {
 	Iterations   int  // total fixpoint iterations across strata
 	RuleRuns     int  // rule body evaluations
 	FactsDerived int  // make-true operations that changed the overlay
+	Decrees      int  // facts made true in a set (changed or not)
+	HostProbes   int  // set elements make-true examined as merge hosts
 	Incremental  bool // overlay was grown in place instead of rebuilt
 }
 
@@ -314,11 +316,13 @@ func (e *Engine) materialize(ctx context.Context, span *obs.Span) (*object.Tuple
 // overlay. With a fresh overlay this is a full materialization; with the
 // previous overlay it is the incremental path (sound only for additive
 // base changes and negation-free rules — the engine checks both). A
-// non-nil span gets one child per fixpoint round.
-func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, span *obs.Span) (RecomputeStats, error) {
-	stats := RecomputeStats{}
+// non-nil span gets one child per fixpoint round. Its decree index
+// (decree.go) serves every make-true of this run and no other.
+func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, span *obs.Span) (stats RecomputeStats, err error) {
 	var evalStats Stats
+	ix := newDecreeIndex()
 	defer func() {
+		stats.Decrees, stats.HostProbes = ix.decrees, ix.hostProbes
 		e.addStats(evalStats)
 		if e.em != nil {
 			e.em.evalWork(evalStats)
@@ -402,7 +406,7 @@ func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, spa
 							round.End()
 							return stats, fmt.Errorf("core: rule %q: %w", rule.src.String(), errs[wi])
 						}
-						n, err := applyRuleSnaps(rule, derived, snaps[wi], e.cowSet)
+						n, err := applyRuleSnaps(rule, derived, snaps[wi], e.cowSet, ix)
 						if err != nil {
 							round.End()
 							return stats, fmt.Errorf("core: rule %q: %w", rule.src.String(), err)
@@ -421,7 +425,7 @@ func (e *Engine) materializeInto(ctx context.Context, derived *object.Tuple, spa
 						continue
 					}
 					stats.RuleRuns++
-					n, err := e.runRule(ctx, rule, effective, derived, &evalStats, anFor(rule, effective))
+					n, err := e.runRule(ctx, rule, effective, derived, &evalStats, anFor(rule, effective), ix)
 					if err != nil {
 						round.End()
 						return stats, fmt.Errorf("core: rule %q: %w", rule.src.String(), err)
@@ -467,12 +471,12 @@ func (e *Engine) ruleAffected(rule *compiledRule, stratum []*compiledRule, chang
 // runRule enumerates body substitutions against the effective universe
 // and makes the head true in the derived overlay for each; it returns how
 // many make-true operations changed the overlay.
-func (e *Engine) runRule(ctx context.Context, rule *compiledRule, effective, derived *object.Tuple, stats *Stats, an *bodyAnalysis) (int, error) {
+func (e *Engine) runRule(ctx context.Context, rule *compiledRule, effective, derived *object.Tuple, stats *Stats, an *bodyAnalysis, ix *decreeIndex) (int, error) {
 	envSnaps, err := e.evalRuleBody(ctx, rule, effective, stats, an)
 	if err != nil {
 		return 0, err
 	}
-	return applyRuleSnaps(rule, derived, envSnaps, e.cowSet)
+	return applyRuleSnaps(rule, derived, envSnaps, e.cowSet, ix)
 }
 
 // evalRuleBody is the read-only half of a rule run: it collects the
@@ -515,11 +519,11 @@ type cowBarrier func(parent *object.Tuple, attr string, s *object.Set) *object.S
 // sequential order exactly). cow guards the incremental path, where the
 // derived overlay being extended may share sets with live snapshots; on
 // a fresh overlay every set is private and the barrier no-ops.
-func applyRuleSnaps(rule *compiledRule, derived *object.Tuple, envSnaps []Row, cow cowBarrier) (int, error) {
+func applyRuleSnaps(rule *compiledRule, derived *object.Tuple, envSnaps []Row, cow cowBarrier, ix *decreeIndex) (int, error) {
 	changed := 0
 	for _, snap := range envSnaps {
 		env := envFrom(snap)
-		n, err := makeTrue(rule.src.Head, derived, env, cow)
+		n, err := makeTrue(rule.src.Head, derived, env, cow, ix)
 		if err != nil {
 			return changed, err
 		}
@@ -532,7 +536,7 @@ func applyRuleSnaps(rule *compiledRule, derived *object.Tuple, envSnaps []Row, c
 // the head expression and insert the decreed fact. It returns the number
 // of overlay changes (0 when the fact already held, which is what lets
 // the fixpoint terminate).
-func makeTrue(e ast.Expr, obj object.Object, env *Env, cow cowBarrier) (int, error) {
+func makeTrue(e ast.Expr, obj object.Object, env *Env, cow cowBarrier, ix *decreeIndex) (int, error) {
 	switch x := e.(type) {
 	case *ast.TupleExpr:
 		tup, ok := obj.(*object.Tuple)
@@ -541,7 +545,7 @@ func makeTrue(e ast.Expr, obj object.Object, env *Env, cow cowBarrier) (int, err
 		}
 		total := 0
 		for _, c := range x.Conjuncts {
-			n, err := makeTrue(c, tup, env, cow)
+			n, err := makeTrue(c, tup, env, cow, ix)
 			if err != nil {
 				return total, err
 			}
@@ -570,19 +574,18 @@ func makeTrue(e ast.Expr, obj object.Object, env *Env, cow cowBarrier) (int, err
 			// if an MVCC snapshot shares it.
 			val = cow(tup, name, s)
 		}
-		return makeTrue(x.Expr, val, env, cow)
+		return makeTrue(x.Expr, val, env, cow, ix)
 
 	case *ast.SetExpr:
 		set, ok := obj.(*object.Set)
 		if !ok {
 			return 0, fmt.Errorf("core: make-true of set expression on %s object", obj.Kind())
 		}
-		u := &updater{ev: &evaluator{env: env, indexes: newIndexCache(), stats: &Stats{}}, undo: &undoLog{}, result: &ExecResult{}}
-		elem, err := u.buildPlus(x.X)
+		elem, err := buildPlus(x.X, env)
 		if err != nil {
 			return 0, err
 		}
-		return makeTrueInSet(set, elem), nil
+		return ix.makeTrueInSet(set, elem), nil
 
 	case *ast.Atomic:
 		return 0, fmt.Errorf("core: head atomic expression %q has no enclosing location; heads must decree facts inside tuples or sets", x.String())
@@ -610,22 +613,27 @@ func makeTrue(e ast.Expr, obj object.Object, env *Env, cow cowBarrier) (int, err
 // make-true is in the unavailable technical memo [KLK90]; this reading is
 // the one under which §6's integration-transparency examples hold.
 //
+// The host search examines only the index bucket of one decreed attribute
+// every tuple element carries (decree.go); it scans the whole set only
+// when no such attribute exists.
+//
 // It returns 1 if the overlay changed, 0 otherwise.
-func makeTrueInSet(set *object.Set, target object.Object) int {
+func (ix *decreeIndex) makeTrueInSet(set *object.Set, target object.Object) int {
+	ix.decrees++
+	h := ix.hosts(set)
 	tgt, isTuple := target.(*object.Tuple)
 	if !isTuple {
+		// Non-tuple elements are not indexed; only the version moves.
 		if set.Add(target) {
+			h.version = set.Version()
 			return 1
 		}
 		return 0
 	}
 	var host *object.Tuple
 	found := false
-	set.Each(func(elem object.Object) bool {
-		e, ok := elem.(*object.Tuple)
-		if !ok {
-			return true
-		}
+	examine := func(e *object.Tuple) bool {
+		ix.hostProbes++
 		compatible := true
 		subsumes := true
 		tgt.Each(func(attr string, want object.Object) bool {
@@ -648,7 +656,19 @@ func makeTrueInSet(set *object.Set, target object.Object) int {
 			host = e
 		}
 		return true
-	})
+	}
+	if bucket, ok := h.candidates(tgt); ok {
+		for _, e := range bucket {
+			if !examine(e) {
+				break
+			}
+		}
+	} else {
+		set.Each(func(elem object.Object) bool {
+			e, ok := elem.(*object.Tuple)
+			return !ok || examine(e)
+		})
+	}
 	if found {
 		return 0
 	}
@@ -656,7 +676,11 @@ func makeTrueInSet(set *object.Set, target object.Object) int {
 		// Merge into a clone and re-add under the new hash: the original
 		// element is never mutated — an older MVCC snapshot may still
 		// reach it through a pre-COW copy of this set.
-		set.Remove(host)
+		// An element holding NaN equals nothing, itself included, so the
+		// set cannot remove it; the index then keeps it too.
+		if set.Remove(host) {
+			h.remove(host)
+		}
 		h2, _ := host.Clone().(*object.Tuple)
 		tgt.Each(func(attr string, want object.Object) bool {
 			if !h2.Has(attr) {
@@ -664,10 +688,12 @@ func makeTrueInSet(set *object.Set, target object.Object) int {
 			}
 			return true
 		})
-		set.Add(h2)
-		return 1
+		tgt = h2
 	}
-	set.Add(tgt)
+	if set.Add(tgt) {
+		h.add(tgt)
+	}
+	h.version = set.Version()
 	return 1
 }
 

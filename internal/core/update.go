@@ -159,7 +159,7 @@ func (u *updater) execAttr(x *ast.AttrExpr, obj object.Object, sl slot) error {
 			return &InsertUnboundError{Var: x.Name.(ast.Var).Name, Expr: x}
 		}
 		for _, name := range names {
-			val, err := u.buildPlus(x.Expr)
+			val, err := buildPlus(x.Expr, u.ev.env)
 			if err != nil {
 				return err
 			}
@@ -317,7 +317,7 @@ func (u *updater) execSet(x *ast.SetExpr, obj object.Object) error {
 	}
 	switch x.Sign {
 	case ast.SignPlus:
-		elem, err := u.buildPlus(x.X)
+		elem, err := buildPlus(x.X, u.ev.env)
 		if err != nil {
 			return err
 		}
@@ -535,8 +535,8 @@ func (u *updater) execAtomic(x *ast.Atomic, obj object.Object, sl slot) error {
 // buildPlus constructs the object a plus expression decrees into
 // existence: the paper's "create an empty object and recursively evaluate
 // +exp on it" (§5.2), with the sign propagating through the whole
-// sub-expression. All terms must be ground.
-func (u *updater) buildPlus(e ast.Expr) (object.Object, error) {
+// sub-expression. All terms must be ground under env.
+func buildPlus(e ast.Expr, env *Env) (object.Object, error) {
 	switch x := e.(type) {
 	case ast.Epsilon:
 		// `+()` — an empty object; it concretizes as an empty tuple,
@@ -546,14 +546,14 @@ func (u *updater) buildPlus(e ast.Expr) (object.Object, error) {
 		if x.Op != ast.OpEQ {
 			return nil, fmt.Errorf("core: insert requires simple expressions; %q is not", x.String())
 		}
-		val, err := evalTerm(x.Term, u.ev.env)
+		val, err := evalTerm(x.Term, env)
 		if err != nil {
 			return nil, insertErrFrom(err, x)
 		}
 		return cloneForStore(val), nil
 	case *ast.AttrExpr:
 		tup := object.NewTuple()
-		if err := u.putPlusAttr(tup, x); err != nil {
+		if err := putPlusAttr(tup, x, env); err != nil {
 			return nil, err
 		}
 		return tup, nil
@@ -564,7 +564,7 @@ func (u *updater) buildPlus(e ast.Expr) (object.Object, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: insert requires attribute conjuncts; %q is not", c.String())
 			}
-			if err := u.putPlusAttr(tup, a); err != nil {
+			if err := putPlusAttr(tup, a, env); err != nil {
 				return nil, err
 			}
 		}
@@ -572,7 +572,7 @@ func (u *updater) buildPlus(e ast.Expr) (object.Object, error) {
 	case *ast.SetExpr:
 		s := object.NewSet()
 		if _, isEps := x.X.(ast.Epsilon); !isEps {
-			elem, err := u.buildPlus(x.X)
+			elem, err := buildPlus(x.X, env)
 			if err != nil {
 				return nil, err
 			}
@@ -584,7 +584,7 @@ func (u *updater) buildPlus(e ast.Expr) (object.Object, error) {
 	}
 }
 
-func (u *updater) putPlusAttr(tup *object.Tuple, a *ast.AttrExpr) error {
+func putPlusAttr(tup *object.Tuple, a *ast.AttrExpr, env *Env) error {
 	if a.Sign == ast.SignMinus {
 		return fmt.Errorf("core: minus expression %q inside an insert", a.String())
 	}
@@ -597,7 +597,7 @@ func (u *updater) putPlusAttr(tup *object.Tuple, a *ast.AttrExpr) error {
 		}
 		name = string(s)
 	case ast.Var:
-		bound, ok := u.ev.env.Lookup(n.Name)
+		bound, ok := env.Lookup(n.Name)
 		if !ok {
 			return &InsertUnboundError{Var: n.Name, Expr: a}
 		}
@@ -609,7 +609,7 @@ func (u *updater) putPlusAttr(tup *object.Tuple, a *ast.AttrExpr) error {
 	default:
 		return fmt.Errorf("core: attribute name must be constant or variable")
 	}
-	val, err := u.buildPlus(a.Expr)
+	val, err := buildPlus(a.Expr, env)
 	if err != nil {
 		return err
 	}
