@@ -572,3 +572,31 @@ func BenchmarkParallelSync(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSyncUnchanged syncs three unchanged in-memory members (the
+// stock schemas over 4 stocks) at two member sizes. Each fetch matches
+// the installed snapshot element by element and keeps it, so allocs/op
+// is the same at both sizes and ns/op grows only with the scan.
+func BenchmarkSyncUnchanged(b *testing.B) {
+	for _, days := range []int{20, 160} {
+		db := idl.Open()
+		u, _ := stocks.Universe(stocks.Config{Stocks: 4, Days: days, Seed: 3})
+		for _, name := range []string{"euter", "chwab", "ource"} {
+			v, _ := u.Get(name)
+			if err := db.Mount(name, federation.NewMemorySource(name, v.(*object.Tuple))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := db.Sync(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("days%d", days), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Sync(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -133,7 +133,7 @@ func TestMetaStatsFederation(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := captureStdout(t, func() { meta(db, config{}, `\stats`) })
-	for _, want := range []string{"federation.member.euter.ops", "federation.sync.count", "federation:"} {
+	for _, want := range []string{"federation.member.euter.ops", "federation.sync.count", "federation.sync.reused", "federation:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("\\stats output missing %q:\n%s", want, out)
 		}

@@ -1,6 +1,7 @@
 package idl
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -356,6 +357,59 @@ func TestFederationMountLifecycle(t *testing.T) {
 	}
 	if err := db.Unmount("m"); err == nil {
 		t.Error("double unmount should fail")
+	}
+}
+
+// mountStocks mounts the three stock schemas of a seeded universe as
+// in-memory members. The member count and relation names depend only on
+// the stock count, so days scales every relation without adding any.
+func mountStocks(t *testing.T, db *DB, stocksN, days int) {
+	t.Helper()
+	u, _ := stocks.Universe(stocks.Config{Stocks: stocksN, Days: days, Seed: 3})
+	for _, name := range []string{"euter", "chwab", "ource"} {
+		v, _ := u.Get(name)
+		if err := db.Mount(name, NewMemorySource(name, v.(*Tuple))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSyncUnchangedMemberReusesSnapshot is the deterministic gate on
+// syncing unchanged members: the sync keeps the installed member tuples
+// (so the epoch, and with it every plan and view cache, stays put) and
+// allocates the same whatever the members' size — nothing per element.
+func TestSyncUnchangedMemberReusesSnapshot(t *testing.T) {
+	ctx := context.Background()
+	allocs := map[int]float64{}
+	for _, days := range []int{10, 80} {
+		db := Open()
+		mountStocks(t, db, 4, days)
+		if _, err := db.Sync(ctx); err != nil {
+			t.Fatal(err)
+		}
+		before, epoch := memberTuples(t, db), db.CatalogEpoch()
+		if _, err := db.Sync(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for name, m := range memberTuples(t, db) {
+			if m != before[name] {
+				t.Errorf("days=%d: sync of unchanged member %s installed a new snapshot", days, name)
+			}
+		}
+		if got := db.CatalogEpoch(); got != epoch {
+			t.Errorf("days=%d: sync of unchanged members moved the epoch %d → %d", days, epoch, got)
+		}
+		if n := db.Metrics().CounterValue("federation.sync.reused"); n != 3 {
+			t.Errorf("days=%d: federation.sync.reused = %d, want 3", days, n)
+		}
+		allocs[days] = testing.AllocsPerRun(50, func() {
+			if _, err := db.Sync(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[10] != allocs[80] {
+		t.Errorf("unchanged sync allocates per element: %.0f allocs at 1x size, %.0f at 8x", allocs[10], allocs[80])
 	}
 }
 

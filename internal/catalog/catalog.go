@@ -10,6 +10,7 @@
 package catalog
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -31,6 +32,13 @@ type Catalog struct {
 	sources map[string]federation.Source
 	apply   func(func(base *object.Tuple) bool)
 
+	// synced holds each member's last installed (or Equal-and-kept)
+	// fetch, handed to the next fetch as prev so an unchanged member is
+	// recognized without being rebuilt. fetch is federation.Fetch; tests
+	// substitute an always-rebuild reference.
+	synced map[string]*object.Tuple
+	fetch  func(ctx context.Context, src federation.Source, prev *object.Tuple) (*object.Tuple, error)
+
 	// mutable is the engine's copy-on-write barrier (SetWriteBarrier):
 	// called inside an applyUniverse functor before mutating an existing
 	// relation set in place, so bulk loads never touch a set shared with
@@ -50,6 +58,7 @@ type Catalog struct {
 	// Sync metrics (see SetMetrics); all nil-safe, so an unconfigured
 	// catalog pays nothing.
 	syncCount    *obs.Counter
+	syncReused   *obs.Counter
 	syncFailures *obs.Counter
 	syncLatency  *obs.Histogram
 	membersG     *obs.Gauge
@@ -68,7 +77,7 @@ func New(universe *object.Tuple, onChange func()) *Catalog {
 	if universe == nil {
 		universe = object.NewTuple()
 	}
-	return &Catalog{universe: universe, onChange: onChange}
+	return &Catalog{universe: universe, onChange: onChange, fetch: federation.Fetch}
 }
 
 // Universe returns the underlying universe tuple.

@@ -41,6 +41,7 @@ func (c *Catalog) Mount(name string, src federation.Source) error {
 	}
 	if c.sources == nil {
 		c.sources = map[string]federation.Source{}
+		c.synced = map[string]*object.Tuple{}
 	}
 	c.sources[name] = src
 	c.membersG.Set(int64(len(c.sources)))
@@ -54,6 +55,7 @@ func (c *Catalog) Unmount(name string) error {
 		return fmt.Errorf("catalog: no source %q is mounted", name)
 	}
 	delete(c.sources, name)
+	delete(c.synced, name)
 	c.membersG.Set(int64(len(c.sources)))
 	removed := false
 	c.applyUniverse(func(u *object.Tuple) bool {
@@ -104,17 +106,20 @@ func (c *Catalog) logSnapshot(name string, snap *object.Tuple) error {
 }
 
 // SetMetrics publishes sync health into a registry:
-// federation.sync.{count,failures,latency} for the sync pass itself and
+// federation.sync.{count,failures,latency} for the sync pass itself,
+// federation.sync.reused for member fetches that found the member
+// unchanged and returned its installed snapshot without a rebuild, and
 // federation.{members,unavailable} gauges for the current mount state.
 // A nil registry disables publication.
 func (c *Catalog) SetMetrics(r *obs.Registry) {
 	c.metrics = r
 	if r == nil {
-		c.syncCount, c.syncFailures, c.syncLatency = nil, nil, nil
+		c.syncCount, c.syncReused, c.syncFailures, c.syncLatency = nil, nil, nil, nil
 		c.membersG, c.unavailableG = nil, nil
 		return
 	}
 	c.syncCount = r.Counter("federation.sync.count")
+	c.syncReused = r.Counter("federation.sync.reused")
 	c.syncFailures = r.Counter("federation.sync.failures")
 	c.syncLatency = r.Histogram("federation.sync.latency")
 	c.membersG = r.Gauge("federation.members")
@@ -126,7 +131,8 @@ func (c *Catalog) SetMetrics(r *obs.Registry) {
 // Engine.Tracer, so enabling/disabling tracing on the DB takes effect
 // here without further plumbing). When tracing is on, every member fetch
 // emits a "federation.fetch" root span carrying the member name, the
-// caller's trace/op IDs, and the fetch outcome.
+// caller's trace/op IDs, and the fetch outcome (reused=1 when the member
+// was unchanged and its installed snapshot was kept without a rebuild).
 func (c *Catalog) SetTracer(fn func() *obs.Tracer) {
 	c.tracer = fn
 }
@@ -163,6 +169,7 @@ func (c *Catalog) FetchConcurrency() int { return c.fetchConc }
 type fetchResult struct {
 	snap     *object.Tuple
 	err      error
+	reused   bool // snap is the member's previous snapshot, not rebuilt
 	breaker  string
 	attempts int
 }
@@ -193,10 +200,16 @@ func (c *Catalog) fetchAll(ctx context.Context, names []string, failFast bool) [
 				}
 			}
 		}
-		r.snap, r.err = federation.Fetch(ctx, src)
+		prev := c.synced[names[i]]
+		r.snap, r.err = c.fetch(ctx, src, prev)
+		r.reused = r.err == nil && prev != nil && r.snap == prev
 		r.breaker, r.attempts = federation.Probe(src)
 		if span != nil {
-			span.SetStr("breaker", r.breaker).SetInt("attempts", int64(r.attempts))
+			reused := int64(0)
+			if r.reused {
+				reused = 1
+			}
+			span.SetStr("breaker", r.breaker).SetInt("attempts", int64(r.attempts)).SetInt("reused", reused)
 			if r.err != nil {
 				span.SetStr("err", r.err.Error())
 			}
@@ -239,7 +252,10 @@ func (c *Catalog) fetchAll(ctx context.Context, names []string, failFast bool) [
 // with its *federation.SourceError. In best-effort mode an unreachable
 // member's snapshot is removed — the member evaluates as empty — and the
 // returned report records every member's health. An unchanged snapshot is
-// not reinstalled, so view caches stay warm across healthy syncs.
+// not reinstalled, so view caches stay warm across healthy syncs: a
+// member whose fetch returned the installed snapshot itself (see
+// federation.Fetch) is recognized by identity, anything else by value
+// equality.
 func (c *Catalog) SyncSources(ctx context.Context, bestEffort bool) (*federation.Report, error) {
 	names := c.Sources()
 	report := &federation.Report{}
@@ -275,6 +291,9 @@ func (c *Catalog) SyncSources(ctx context.Context, bestEffort bool) (*federation
 			}
 		} else {
 			snaps[name] = res.snap
+			if res.reused {
+				c.syncReused.Inc()
+			}
 		}
 		report.Sources = append(report.Sources, health)
 	}
@@ -295,13 +314,15 @@ func (c *Catalog) SyncSources(ctx context.Context, bestEffort bool) (*federation
 				// Unreachable member: drop the stale snapshot so the
 				// best-effort answer is exactly the full answer restricted
 				// to live members.
+				delete(c.synced, name)
 				if u.Delete(name) {
 					changed = true
 					installed = append(installed, install{name, nil})
 				}
 				continue
 			}
-			if old, ok := u.Get(name); ok && old.Equal(snap) {
+			c.synced[name] = snap
+			if old, ok := u.Get(name); ok && (old == snap || old.Equal(snap)) {
 				continue
 			}
 			u.Put(name, snap)

@@ -82,7 +82,7 @@ type decreeGen struct {
 var decreeAttrs = []string{"a", "b", "c", "d"}
 
 func (g decreeGen) value() object.Object {
-	switch g.pick(10) {
+	switch g.pick(12) {
 	case 0:
 		// Every NaN hashes alike and equals nothing: a hash collision
 		// between unequal values.
@@ -94,6 +94,12 @@ func (g decreeGen) value() object.Object {
 		return object.Str(fmt.Sprintf("s%d", g.pick(2)))
 	case 3:
 		return object.SetOf(g.pick(2), g.pick(2))
+	case 4:
+		// Past 2^53 float64 conflates neighbouring integers: Int(2^53+1)
+		// neither equals nor hashes like Float(2^53).
+		return object.Int(1<<53 + int64(g.pick(3)))
+	case 5:
+		return object.Float(1<<53 + 2*float64(g.pick(2)))
 	default:
 		return object.Int(g.pick(3))
 	}

@@ -39,6 +39,8 @@ type Source interface {
 	// Scan enumerates the elements of one relation, calling yield once
 	// per element until it returns false. A non-nil error means the scan
 	// did not complete; elements already yielded may be a prefix.
+	// Snapshots share the yielded elements, so an element must not be
+	// mutated once yielded; a changed element is a new object.
 	Scan(ctx context.Context, rel string, yield func(object.Object) bool) error
 	// Attributes lists the union of attribute names across a relation's
 	// tuples.

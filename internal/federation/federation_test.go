@@ -25,7 +25,7 @@ func memberDB() *object.Tuple {
 func TestMemorySourceFetch(t *testing.T) {
 	db := memberDB()
 	src := NewMemorySource("euter", db)
-	snap, err := Fetch(context.Background(), src)
+	snap, err := Fetch(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestStackComposition(t *testing.T) {
 	cfg.RetryBase = time.Microsecond
 	cfg.RetryCap = time.Microsecond
 	st := Resilient(flaky, cfg)
-	snap, err := Fetch(context.Background(), st)
+	snap, err := Fetch(context.Background(), st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package federation
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -10,24 +12,116 @@ import (
 )
 
 // Fetch pulls a complete snapshot of a member database: every relation
-// scanned into a fresh set, assembled as a database tuple the engine
-// can evaluate. On failure it returns a *SourceError naming the member
-// and the operation that failed.
-func Fetch(ctx context.Context, src Source) (*object.Tuple, error) {
+// scanned into a set, assembled as a database tuple the engine can
+// evaluate. On failure it returns a *SourceError naming the member and
+// the operation that failed.
+//
+// prev is the member's last installed snapshot (nil on the first sync).
+// While a relation's scan yields prev's elements, identical object for
+// object and in prev's insertion order, nothing is built or hashed; a
+// relation whose scan ends exactly at prev's length is prev's own set,
+// and when every relation matches Fetch returns prev itself. At the
+// first mismatch the set is built from the matched prefix plus the rest
+// of the scan — exactly the set a fetch without prev builds — so the
+// result never depends on prev beyond object identity.
+func Fetch(ctx context.Context, src Source, prev *object.Tuple) (*object.Tuple, error) {
 	rels, err := src.Relations(ctx)
 	if err != nil {
 		return nil, &SourceError{Source: src.Name(), Op: "relations", Err: err}
 	}
 	sort.Strings(rels)
-	db := object.NewTuple()
-	for _, rel := range rels {
-		set := object.NewSet()
-		if err := src.Scan(ctx, rel, func(e object.Object) bool { set.Add(e); return true }); err != nil {
+	// db stays nil while the snapshot so far is prev, relation for
+	// relation and in prev's attribute order.
+	var db *object.Tuple
+	if prev == nil || !slices.Equal(prev.Attrs(), rels) {
+		db = object.NewTuple()
+	}
+	for i, rel := range rels {
+		var old *object.Set
+		if prev != nil {
+			if v, ok := prev.Get(rel); ok {
+				old, _ = v.(*object.Set)
+			}
+		}
+		set, err := scanRelation(ctx, src, rel, old)
+		if err != nil {
 			return nil, &SourceError{Source: src.Name(), Op: fmt.Sprintf("scan %q", rel), Err: err}
 		}
-		db.Put(rel, set)
+		if db == nil && set != old {
+			db = object.NewTuple()
+			for _, r := range rels[:i] {
+				v, _ := prev.Get(r)
+				db.Put(r, v)
+			}
+		}
+		if db != nil {
+			db.Put(rel, set)
+		}
+	}
+	if db == nil {
+		return prev, nil
 	}
 	return db, nil
+}
+
+// scanRelation scans one relation into a set. It returns prev itself
+// when the scan yields exactly prev's elements in order (see Fetch).
+func scanRelation(ctx context.Context, src Source, rel string, prev *object.Set) (*object.Set, error) {
+	var (
+		set     *object.Set // nil while the scan still matches prev
+		cur     = prev.Cursor()
+		matched int
+	)
+	err := src.Scan(ctx, rel, func(e object.Object) bool {
+		if set == nil {
+			if p, ok := cur.Next(); ok && identical(p, e) {
+				matched++
+				return true
+			}
+			set = prefix(prev, matched)
+		}
+		set.Add(e)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	if set == nil {
+		if prev != nil && matched == prev.Len() {
+			return prev, nil
+		}
+		set = prefix(prev, matched)
+	}
+	return set, nil
+}
+
+// prefix returns a new set holding prev's first n elements.
+func prefix(prev *object.Set, n int) *object.Set {
+	set := object.NewSet()
+	cur := prev.Cursor()
+	for ; n > 0; n-- {
+		e, _ := cur.Next()
+		set.Add(e)
+	}
+	return set
+}
+
+// identical reports whether two elements are indistinguishable, so one
+// may stand in for the other in a snapshot: the same tuple or set
+// object, or atoms of one kind with the same payload. Floats compare by
+// bit pattern (0 and -0 render differently), and an Equal object of
+// another kind (Int(1) for Float(1)) is not identical: it renders
+// differently. Unknown Object implementations never match, so a type
+// that is not comparable with == cannot panic here.
+func identical(a, b object.Object) bool {
+	switch x := a.(type) {
+	case object.Float:
+		y, ok := b.(object.Float)
+		return ok && math.Float64bits(float64(x)) == math.Float64bits(float64(y))
+	case *object.Tuple, *object.Set, object.Int, object.Str, object.Bool, object.Date, object.Null:
+		return a == b
+	}
+	return false
 }
 
 // Probe reports a source's observable resilience state, for sync

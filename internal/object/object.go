@@ -10,6 +10,7 @@
 package object
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -194,18 +195,9 @@ func isBareword(s string) bool {
 	return true
 }
 
-// numericValue returns the float value of a numeric atom.
-func numericValue(o Object) (float64, bool) {
-	switch v := o.(type) {
-	case Int:
-		return float64(v), true
-	case Float:
-		return float64(v), true
-	}
-	return 0, false
-}
-
-// Equal implementations. Numeric atoms compare across Int/Float.
+// Equal implementations. Numeric atoms compare across Int/Float, exactly:
+// an Int is never rounded through float64, so Equal agrees with Hash
+// beyond 2^53.
 
 func (Null) Equal(o Object) bool { _, ok := o.(Null); return ok }
 
@@ -219,7 +211,7 @@ func (i Int) Equal(o Object) bool {
 	case Int:
 		return i == v
 	case Float:
-		return float64(i) == float64(v)
+		return !math.IsNaN(float64(v)) && cmpIntFloat(int64(i), float64(v)) == 0
 	}
 	return false
 }
@@ -227,7 +219,7 @@ func (i Int) Equal(o Object) bool {
 func (f Float) Equal(o Object) bool {
 	switch v := o.(type) {
 	case Int:
-		return float64(f) == float64(v)
+		return !math.IsNaN(float64(f)) && cmpIntFloat(int64(v), float64(f)) == 0
 	case Float:
 		return f == v
 	}
@@ -360,20 +352,50 @@ func compareFloats(a, b float64) int {
 	}
 }
 
+// cmpIntFloat compares an integer with a float exactly: i is never
+// rounded to float64, which would conflate integers beyond 2^53. NaN
+// compares as 0 against everything, as compareFloats does.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case math.IsNaN(f):
+		return 0
+	case f < -(1 << 63):
+		return 1
+	case f >= 1<<63:
+		return -1
+	}
+	// f lies in int64's range, so its integral part converts exactly.
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return compareFloats(t, f) // i is f's integral part; the fraction decides
+}
+
 func (i Int) Compare(o Object) int {
 	if c, done := compareRanks(i, o); done {
 		return c
 	}
-	v, _ := numericValue(o)
-	return compareFloats(float64(i), v)
+	switch v := o.(type) {
+	case Int:
+		return cmp.Compare(int64(i), int64(v))
+	case Float:
+		return cmpIntFloat(int64(i), float64(v))
+	}
+	return 0
 }
 
 func (f Float) Compare(o Object) int {
 	if c, done := compareRanks(f, o); done {
 		return c
 	}
-	v, _ := numericValue(o)
-	return compareFloats(float64(f), v)
+	switch v := o.(type) {
+	case Int:
+		return -cmpIntFloat(int64(v), float64(f))
+	case Float:
+		return compareFloats(float64(f), float64(v))
+	}
+	return 0
 }
 
 func (s Str) Compare(o Object) int {

@@ -1,6 +1,7 @@
 package object
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,9 +11,9 @@ import (
 // randomObject generates an arbitrary object of bounded depth for
 // property-based testing.
 func randomObject(r *rand.Rand, depth int) Object {
-	max := 8
+	max := 9
 	if depth <= 0 {
-		max = 6 // atoms only
+		max = 7 // atoms only
 	}
 	switch r.Intn(max) {
 	case 0:
@@ -29,6 +30,8 @@ func randomObject(r *rand.Rand, depth int) Object {
 	case 5:
 		return NewDate(85+r.Intn(3), 1+r.Intn(12), 1+r.Intn(28))
 	case 6:
+		return bigNumber(r)
+	case 7:
 		t := NewTuple()
 		attrs := []string{"a", "b", "c", "d"}
 		for i := 0; i < r.Intn(4); i++ {
@@ -42,6 +45,24 @@ func randomObject(r *rand.Rand, depth int) Object {
 		}
 		return s
 	}
+}
+
+// bigNumber draws an Int or Float next to a point where float64 loses
+// integer precision (2^53) or int64 runs out (±2^63), where a comparison
+// rounded through float64 would conflate distinct numbers.
+func bigNumber(r *rand.Rand) Object {
+	bases := []float64{1 << 53, -(1 << 53), 1 << 63, -(1 << 63)}
+	base := bases[r.Intn(len(bases))]
+	if r.Intn(2) == 0 {
+		return Float(base + float64(2*(r.Intn(3)-1))) // exact at 2^53; ±2^63 absorbs it
+	}
+	switch base {
+	case 1 << 63:
+		return Int(math.MaxInt64 - int64(r.Intn(3)))
+	case -(1 << 63):
+		return Int(math.MinInt64 + int64(r.Intn(3)))
+	}
+	return Int(int64(base) + int64(r.Intn(3)-1))
 }
 
 // objValue wraps an Object to satisfy quick.Generator.
@@ -246,6 +267,50 @@ func TestJSONUnmarshalErrors(t *testing.T) {
 	for _, s := range bad {
 		if _, err := UnmarshalJSON([]byte(s)); err == nil {
 			t.Errorf("UnmarshalJSON(%q) should fail", s)
+		}
+	}
+}
+
+// TestIntFloatExactBeyond2p53 pins the cross-kind numeric comparison on
+// pairs a float64 round trip conflates: Equal must agree with Hash, and
+// Compare must order the exact values.
+func TestIntFloatExactBeyond2p53(t *testing.T) {
+	const p53 = 1 << 53
+	cases := []struct {
+		a, b  Object
+		order int // a.Compare(b)
+	}{
+		{Int(p53 + 1), Float(p53), 1},
+		{Int(p53), Float(p53), 0},
+		{Int(p53 - 1), Float(p53), -1},
+		{Int(p53 + 1), Float(p53 + 2), -1},
+		{Int(-p53 - 1), Float(-p53), -1},
+		{Int(p53 + 1), Int(p53), 1}, // float64(both) is 2^53
+		{Int(math.MaxInt64), Int(math.MaxInt64 - 1), 1},
+		{Int(math.MaxInt64), Float(1 << 63), -1},
+		{Int(math.MinInt64), Float(-(1 << 63)), 0},
+		{Int(math.MinInt64), Float(math.Inf(-1)), 1},
+		{Int(3), Float(2.5), 1},
+		{Int(-3), Float(-2.5), -1},
+		{Int(-2), Float(-2.5), 1},
+	}
+	for _, c := range cases {
+		if got := c.a.Compare(c.b); got != c.order {
+			t.Errorf("%v.Compare(%v) = %d, want %d", c.a, c.b, got, c.order)
+		}
+		if got := c.b.Compare(c.a); got != -c.order {
+			t.Errorf("%v.Compare(%v) = %d, want %d", c.b, c.a, got, -c.order)
+		}
+		eq := c.order == 0
+		if c.a.Equal(c.b) != eq || c.b.Equal(c.a) != eq {
+			t.Errorf("%v.Equal(%v) = %v, want %v", c.a, c.b, c.a.Equal(c.b), eq)
+		}
+		if eq && c.a.Hash() != c.b.Hash() {
+			t.Errorf("%v and %v are Equal but hash differently", c.a, c.b)
+		}
+		s := SetOf(c.a)
+		if s.Contains(c.b) != eq {
+			t.Errorf("SetOf(%v).Contains(%v) = %v, want %v", c.a, c.b, s.Contains(c.b), eq)
 		}
 	}
 }

@@ -157,6 +157,33 @@ func (s *Set) Each(fn func(Object) bool) {
 	}
 }
 
+// Cursor returns an iterator over the elements in insertion order that
+// copies nothing — a pull-style Each. The set must not change while the
+// cursor is in use. A nil set yields nothing.
+func (s *Set) Cursor() SetCursor { return SetCursor{s: s} }
+
+// SetCursor walks a set's elements in insertion order (see Set.Cursor).
+// The zero value yields nothing.
+type SetCursor struct {
+	s   *Set
+	pos int
+}
+
+// Next returns the next element, or false once the set is exhausted.
+func (c *SetCursor) Next() (Object, bool) {
+	if c.s == nil {
+		return nil, false
+	}
+	for c.pos < len(c.s.elems) {
+		e := c.s.elems[c.pos]
+		c.pos++
+		if e != nil {
+			return e, true
+		}
+	}
+	return nil, false
+}
+
 // Elems returns a snapshot slice of the elements in insertion order.
 func (s *Set) Elems() []Object {
 	out := make([]Object, 0, s.Len())

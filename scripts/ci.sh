@@ -3,7 +3,8 @@
 # concurrency and cancellation tests included) under the race detector
 # with shuffled test order, the end-to-end benchmark's smoke tests, a
 # coverage floor on the engine, fuzz smoke on the parser, the
-# parallel evaluator and make-true's indexed host search, a
+# parallel evaluator, make-true's indexed host search and the
+# federation fetch's reuse of unchanged member snapshots, a
 # served-path smoke (idld on an ephemeral port: wire replay check,
 # open-loop SLO gates, graceful-drain exit 0), then the benchmark
 # pipeline:
@@ -75,12 +76,15 @@ go tool cover -func=/tmp/core_cover.out | awk '
 go test -run '^TestCrashPointGrid$|^TestCheckpointRecovery$' -short .
 
 # Fuzz smoke: a short randomized pass over the parser round-trip, the
-# indexed make-true host search against its linear-scan reference, the
-# sequential-vs-parallel differential oracle, and randomized
-# crash-point recovery against the prefix-consistency oracle. Any
-# corpus crasher found earlier re-runs here as a regression seed.
+# indexed make-true host search against its linear-scan reference,
+# member fetches that reuse the previous snapshot against a full
+# rebuild, the sequential-vs-parallel differential oracle, and
+# randomized crash-point recovery against the prefix-consistency
+# oracle. Any corpus crasher found earlier re-runs here as a regression
+# seed.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 15s ./internal/parser
 go test -run '^$' -fuzz '^FuzzMakeTrueInSet$' -fuzztime 10s ./internal/core
+go test -run '^$' -fuzz '^FuzzFetchReuse$' -fuzztime 10s ./internal/federation
 go test -run '^$' -fuzz '^FuzzEvalQuery$' -fuzztime 15s ./internal/core
 go test -run '^$' -fuzz '^FuzzRecovery$' -fuzztime 15s .
 

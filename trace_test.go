@@ -158,6 +158,41 @@ func TestTraceExportCorrelation(t *testing.T) {
 	}
 }
 
+// TestFetchSpanMarksReuse: a member's federation.fetch span says whether
+// the fetch kept the installed snapshot (reused=1) or built a new one.
+func TestFetchSpanMarksReuse(t *testing.T) {
+	db := Open()
+	member := Tup("quotes", SetOf(Tup("date", Date(85, 3, 1), "clsPrice", 11)))
+	if err := db.Mount("mem1", NewMemorySource("mem1", member)); err != nil {
+		t.Fatal(err)
+	}
+	db.EnableTracing(32)
+	for i := 0; i < 2; i++ {
+		if _, err := db.Query("?.mem1.quotes(.clsPrice=P)"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := db.ExportTraces(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Traces []TraceRecord `json:"traces"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("export is not JSON: %v\n%s", err, buf.String())
+	}
+	var reused []int64
+	for _, tr := range doc.Traces {
+		if tr.Root.Name == "federation.fetch" {
+			reused = append(reused, attrInt(tr.Root, "reused"))
+		}
+	}
+	if len(reused) != 2 || reused[0] != 0 || reused[1] != 1 {
+		t.Errorf("federation.fetch reused attributes = %v, want [0 1] (first sync builds, second keeps)", reused)
+	}
+}
+
 // TestTraceJournalCorrelation: with a workload journal attached, the
 // journal record for an operation carries the same trace ID as its
 // exported span tree.
